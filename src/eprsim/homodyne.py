@@ -67,6 +67,19 @@ def _format(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _check_finite(lines: list[str], data: np.ndarray) -> None:
+    """Raise DataFormatError naming the first line with a non-finite value.
+
+    `data` holds one row per non-blank line of the CSV `lines` after the
+    header; the line is looked up only when a value is not finite.
+    """
+    finite = np.isfinite(data).all(axis=1)
+    if finite.all():
+        return
+    data_lines = [lineno for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+    raise DataFormatError("values must be finite", line=data_lines[int(np.argmin(finite))])
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureDataset:
     """Homodyne records: per sample, the LO phases and measured quadratures."""
@@ -81,8 +94,8 @@ class QuadratureDataset:
             raise ValueError("thetas and xs must have matching shapes")
         if thetas.shape[1] not in (1, 2):
             raise ValueError("datasets hold 1 or 2 modes")
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("quadrature values must be finite")
+        if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(xs))):
+            raise ValueError("phases and quadrature values must be finite")
         thetas.setflags(write=False)
         xs.setflags(write=False)
         object.__setattr__(self, "thetas", thetas)
@@ -121,7 +134,7 @@ class QuadratureDataset:
             n_modes = 2
         else:
             raise DataFormatError(f"unrecognized dataset header {header!r}", line=1)
-        thetas, xs = [], []
+        rows = []
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
@@ -131,14 +144,14 @@ class QuadratureDataset:
                     f"expected {1 + 2 * n_modes} fields, got {len(parts)}", line=lineno
                 )
             try:
-                values = [float(p) for p in parts[1:]]
+                rows.append([float(p) for p in parts[1:]])
             except ValueError as exc:
                 raise DataFormatError(str(exc), line=lineno) from None
-            thetas.append(values[0::2])
-            xs.append(values[1::2])
-        if not thetas:
+        if not rows:
             raise DataFormatError("dataset has no records", line=2)
-        return cls(np.array(thetas), np.array(xs))
+        data = np.array(rows)
+        _check_finite(lines, data)
+        return cls(data[:, 0::2], data[:, 1::2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,6 +170,8 @@ class VarianceTrace:
         cnt = np.asarray(self.count, dtype=int)
         if not (len(bci) == tc.shape[0] == len(var) == len(cnt)):
             raise ValueError("trace columns must have equal length")
+        if not all(np.all(np.isfinite(arr)) for arr in (bci, tc, var)):
+            raise ValueError("trace columns must be finite")
         if np.any(var < 0):
             raise ValueError("variances must be non-negative")
         for arr in (bci, tc, var, cnt):
@@ -215,6 +230,7 @@ class VarianceTrace:
         if not rows:
             raise DataFormatError("trace has no bins", line=2)
         data = np.array(rows)
+        _check_finite(lines, data)
         return cls(
             bin_center_index=data[:, 0],
             theta_centers=data[:, 1 : 1 + n_modes],

@@ -15,6 +15,19 @@ def read_json(path: Path):
     return json.loads(path.read_text())
 
 
+def write_single_trace(path: Path, centers, variances) -> Path:
+    lines = ["bin_center_index,theta1_center,variance,count"]
+    lines += [f"{n:.17g},0.0,{v:.17g},100" for n, v in zip(centers, variances)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def single_trace_rows(n_bins=20):
+    """Bin centers and variances of a clean two-period single-mode trace."""
+    centers = 50.0 + 100.0 * np.arange(n_bins)
+    return centers, 0.6 - 0.3 * np.cos(4.0 * math.pi * centers / (100.0 * n_bins))
+
+
 class TestSingleSweep:
     def test_defaults_recover_parameters(self, tmp_path):
         rc = main(["single-sweep", "--seed", "3", "--out", str(tmp_path)])
@@ -173,6 +186,14 @@ class TestTomographyCommand:
         assert rc == 3
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["1,nan,0.25", "1,0.5,inf"])
+    def test_non_finite_value_names_line(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"index,theta1,x1\n0,0.0,0.1\n\n{row}\n2,1.0,-0.3\n")
+        rc = main(["tomography", "--input", str(bad), "--cutoff", "3", "--out", str(tmp_path)])
+        assert rc == 3
+        assert "line 4" in capsys.readouterr().err
+
     def test_missing_reference_flag_pair(self, tmp_path):
         rc = main(["tomography", "--input", "x.csv", "--ref-zeta", "0.4", "--out", str(tmp_path)])
         assert rc == 2
@@ -233,6 +254,26 @@ class TestFitCommand:
         rc = main(["fit", "--kind", "single", "--trace", str(short), "--out", str(tmp_path)])
         assert rc == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["repeated", "decreasing"])
+    def test_bin_centers_not_evenly_increasing(self, tmp_path, capsys, edit):
+        centers, variances = single_trace_rows()
+        if edit == "repeated":
+            centers[1] = centers[0]
+        else:
+            centers = centers[::-1]
+        path = write_single_trace(tmp_path / "trace.csv", centers, variances)
+        rc = main(["fit", "--kind", "single", "--trace", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "evenly spaced" in capsys.readouterr().err
+
+    def test_non_finite_variance_names_line(self, tmp_path, capsys):
+        centers, variances = single_trace_rows()
+        variances[2] = math.nan
+        path = write_single_trace(tmp_path / "trace.csv", centers, variances)
+        rc = main(["fit", "--kind", "single", "--trace", str(path), "--out", str(tmp_path)])
+        assert rc == 3
+        assert "line 4" in capsys.readouterr().err
 
 
 class TestDesignCommand:

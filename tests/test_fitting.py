@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from eprsim import fitting
 from eprsim.errors import IllPosedFitError
@@ -71,14 +72,21 @@ def round_trip_errors(fit, zeta, eta, theta0, rate, period):
     return [name for name, bad in errors.items() if bad]
 
 
-def planted_lm(zeta, eta, theta0, rate):
-    """Stand-in optimizer that stops at the given parameters and reports success."""
+def planted_tone(n, theta0, rate, phase_scale):
+    """Stand-in optimizer that stops the tone search at the given phase
+    schedule and reports success; phase_scale is 2 for the single-mode model
+    (it oscillates with 2 theta) and 1 for the sum/difference pair."""
+    _, middle, spacing = fitting._bin_offsets(n)
+    omega, phase = phase_scale * rate, phase_scale * theta0
+    # the search runs over (omega per bin, phase at the middle bin center)
+    x = np.array([omega * spacing, phase + omega * middle])
+    return lambda fun, x0, jac, **options: OptimizeResult(x=x, status=1)
 
-    def run(residual_jac, x0):
-        x = np.array([fitting._softplus_inv(zeta), fitting._logit(eta), theta0, rate])
-        return x, float(np.sum(residual_jac(x)[0] ** 2)), True
 
-    return run
+# case 11 of the seed-23 single-mode sweep, and the phase schedule at which
+# the earlier logistic-reparameterised fit stalled with (zeta, eta) = (0.752, 1.0)
+CASE_11 = (0.8441526293843389, 0.7831405492589794, 2.4525890188068136, 8.898730107990856e-05)
+CASE_11_STUCK_PHASE = (2.450973048068252, 8.900727594900096e-05)
 
 
 class TestSqueezingDb:
@@ -184,25 +192,32 @@ class TestFitSingle:
             with pytest.raises(IllPosedFitError):
                 fit_single(trace)
 
+    def test_excess_noise_rejected(self):
+        # midline 1.0 with a 0.2 swing needs eta < 0; the best squeezer fit
+        # lies on the eta -> 0 edge, where zeta is unbounded
+        n = 1000.0 + 2000.0 * np.arange(60)
+        theta = 0.3 + 7e-5 * n
+        trace = VarianceTrace(n, theta[:, None], 1.0 - 0.1 * np.cos(2 * theta), np.full(60, 2000))
+        with pytest.raises(IllPosedFitError, match="eta -> 0"):
+            fit_single(trace)
+
     def test_eta_one_optimum_converged(self):
         # eta ends on its bound, but moving it inward raises the rss
         fit = fit_single(synthetic_single_trace(0.6, 1.0, 0.4, 7e-5))
         assert fit.eta == pytest.approx(1.0, abs=1e-6)
         assert fit.converged
 
-    def test_stuck_on_bound_not_converged(self, monkeypatch):
-        # case 11 of the seed-23 sweep above: a start on the flat end of the
-        # eta logistic leaves the optimizer at (0.752, 1.0)
-        true = (0.8441526293843389, 0.7831405492589794, 2.4525890188068136, 8.898730107990856e-05)
-        stuck = (0.7516948981270877, 1.0 - 1e-9, 2.450973048068252, 8.900727594900096e-05)
-        trace = synthetic_single_trace(*true)
-        monkeypatch.setattr(fitting, "_run_lm", planted_lm(*stuck))
+    def test_stuck_phase_interior_optimum(self, monkeypatch):
+        # at a fixed phase (zeta, eta) is the exact constrained optimum, so the
+        # phase that once left eta on its bound yields the interior optimum
+        trace = synthetic_single_trace(*CASE_11)
+        monkeypatch.setattr(fitting, "least_squares", planted_tone(trace.bin_center_index, *CASE_11_STUCK_PHASE, 2.0))
         fit = fit_single(trace)
-        assert fit.eta == pytest.approx(1.0, abs=1e-6)
-        assert not fit.converged
+        assert fit.zeta == pytest.approx(CASE_11[0], abs=1e-3)
+        assert fit.eta == pytest.approx(CASE_11[1], abs=1e-3)
+        assert (fit.theta0, fit.rate) == pytest.approx(CASE_11_STUCK_PHASE, rel=1e-12)
+        assert fit.converged
         assert not fit.degenerate
-        monkeypatch.setattr(fitting, "_run_lm", planted_lm(*true))
-        assert fit_single(trace).converged
 
 
 class TestFitEpr:
@@ -283,12 +298,14 @@ class TestFitEpr:
         assert fit.eta == pytest.approx(1.0, abs=1e-6)
         assert fit.converged
 
-    def test_stuck_on_bound_not_converged(self, monkeypatch):
-        traces = synthetic_epr_traces(0.844, 0.783, 2.45, 8.9e-5)
-        monkeypatch.setattr(fitting, "_run_lm", planted_lm(0.75, 1.0 - 1e-9, 2.45, 8.9e-5))
-        fit = fit_epr(*traces)
-        assert fit.eta == pytest.approx(1.0, abs=1e-6)
-        assert not fit.converged
+    def test_stuck_phase_interior_optimum(self, monkeypatch):
+        t_sum, t_diff = synthetic_epr_traces(*CASE_11)
+        monkeypatch.setattr(fitting, "least_squares", planted_tone(t_sum.bin_center_index, *CASE_11_STUCK_PHASE, 1.0))
+        fit = fit_epr(t_sum, t_diff)
+        assert fit.zeta == pytest.approx(CASE_11[0], abs=1e-3)
+        assert fit.eta == pytest.approx(CASE_11[1], abs=1e-3)
+        assert (fit.theta0, fit.rate) == pytest.approx(CASE_11_STUCK_PHASE, rel=1e-12)
+        assert fit.converged
         assert not fit.degenerate
 
     def test_model_extrema_match_closed_form(self):

@@ -251,3 +251,9 @@ class TestConfigValidation:
     def test_needs_phases(self):
         with pytest.raises(ValueError):
             SweepConfig(phases=(), n_samples=10, seed=0)
+
+    def test_non_finite_columns_rejected(self):
+        with pytest.raises(ValueError):
+            QuadratureDataset(np.array([[0.0], [math.nan]]), np.zeros((2, 1)))
+        with pytest.raises(ValueError):
+            VarianceTrace(np.arange(3.0), np.zeros((3, 1)), np.array([0.5, math.inf, 0.5]), np.ones(3, dtype=int))

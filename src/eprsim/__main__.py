@@ -1,0 +1,6 @@
+"""``python -m eprsim``: the ``eprsim`` command."""
+
+from eprsim.cli import entry_point
+
+if __name__ == "__main__":
+    entry_point()

@@ -2,7 +2,9 @@
 
 Every run that writes files also writes a ``*_manifest.json`` recording the
 tool version, the fully resolved parameters, the seed and the canonical
-argument vector, so the run can be repeated byte-for-byte.
+argument vector, so the run can be repeated byte-for-byte.  Parameters and
+argument vector are both derived from the parser (see ``_replay``), so a new
+flag is recorded without further code.
 
 Exit codes: 0 success, 2 usage error, 3 data-format error, 4 numerical
 failure, 1 I/O error.
@@ -57,6 +59,13 @@ def _unit_interval(text: str) -> float:
     return value
 
 
+def _nonneg_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -79,44 +88,81 @@ def _length(text: str) -> float:
 
 
 def _resolve_outdir(args) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    env = os.environ.get(OUTDIR_ENV)
-    return Path(env) if env else Path(".")
+    """The output directory: ``--out``, else ``$EPRSIM_OUTDIR``, else '.'.
+
+    The resolved directory is stored back as ``args.out``, so the manifest
+    replays into the directory the run actually wrote.
+    """
+    out = args.out if args.out is not None else os.environ.get(OUTDIR_ENV) or "."
+    args.out = str(Path(out))
+    return Path(out)
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_bytes((json.dumps(payload, indent=2) + "\n").encode("ascii"))
 
 
-def _write_manifest(
-    outdir: Path, prefix: str, subcommand: str, parameters: dict, seed, outputs: list[str], argv: list[str]
-) -> Path:
-    path = outdir / f"{prefix}_manifest.json"
-    _write_json(
-        path,
-        {
-            "tool": "eprsim",
-            "version": __version__,
-            "subcommand": subcommand,
-            "parameters": parameters,
-            "seed": seed,
-            "outputs": outputs,
-            "argv": argv,
-        },
-    )
-    return path
+# Replayed in ``argv`` but not parameters: the seed has its own manifest field
+# and the output directory is wherever the replay is asked to write.
+_ARGV_ONLY = ("seed", "out")
+# Accepted but recorded nowhere: this implementation is always serial.
+_UNRECORDED = ("serial",)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def _replay(args) -> tuple[dict, list[str]]:
+    """The manifest ``parameters`` and ``argv`` of a resolved namespace.
+
+    Both are read off the parser: the subcommand names lead ``argv`` (below
+    the top level they are parameters too, e.g. ``design``'s ``quantity``),
+    then each option of the leaf subcommand in definition order.  Unset
+    (``None``) options are left out; a ``store_true`` option is a bare flag
+    in ``argv`` and a bool in ``parameters``; floats are written with 17
+    significant digits, everything else with ``str``.  A value that starts
+    with '-' is attached as ``--flag=value``, so argparse cannot read a
+    negative number in exponent form as an option.
+    """
+    parser, parameters, argv = build_parser(), {}, []
+    while sub := next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None):
+        name = getattr(args, sub.dest)
+        if argv:
+            parameters[sub.dest] = name
+        argv.append(name)
+        parser = sub.choices[name]
+    for action in parser._actions:
+        value = getattr(args, action.dest, None)
+        if value is None or action.dest in _UNRECORDED:
+            continue
+        if action.dest not in _ARGV_ONLY:
+            parameters[action.dest] = value
+        flag = action.option_strings[0]
+        if isinstance(action, argparse._StoreTrueAction):
+            argv += [flag] if value else []
+            continue
+        text = f"{value:.17g}" if isinstance(value, float) else str(value)
+        argv += [f"{flag}={text}"] if text.startswith("-") else [flag, text]
+    return parameters, argv
+
+
+def _write_manifest(args, outputs: list[str]) -> None:
+    parameters, argv = _replay(args)
+    manifest = {
+        "tool": "eprsim",
+        "version": __version__,
+        "subcommand": args.command,
+        "parameters": parameters,
+        "seed": getattr(args, "seed", None),
+        "outputs": outputs,
+        "argv": argv,
+    }
+    _write_json(Path(args.out) / f"{args.prefix}_manifest.json", manifest)
 
 
 def _cmd_single_sweep(args) -> int:
     outdir = _resolve_outdir(args)
-    rate = args.rate if args.rate is not None else 4.0 * math.pi / args.samples
+    if args.rate is None:
+        args.rate = 4.0 * math.pi / args.samples
     config = SweepConfig(
-        phases=(PhaseSchedule(args.theta0, rate),), n_samples=args.samples, seed=args.seed
+        phases=(PhaseSchedule(args.theta0, args.rate),), n_samples=args.samples, seed=args.seed
     )
     state = loss(squeeze(vacuum(1), 0, args.zeta), 0, args.eta)
 
@@ -137,36 +183,15 @@ def _cmd_single_sweep(args) -> int:
     _write_json(outdir / fit_name, fit.to_json_dict())
     outputs.append(fit_name)
 
-    parameters = {
-        "zeta": args.zeta,
-        "eta": args.eta,
-        "samples": args.samples,
-        "theta0": args.theta0,
-        "rate": rate,
-        "window": args.window,
-        "write_dataset": bool(args.write_dataset),
-        "prefix": args.prefix,
-    }
-    argv = [
-        "single-sweep",
-        "--zeta", _fmt(args.zeta),
-        "--eta", _fmt(args.eta),
-        "--samples", str(args.samples),
-        "--theta0", _fmt(args.theta0),
-        "--rate", _fmt(rate),
-        "--window", str(args.window),
-        "--seed", str(args.seed),
-        "--prefix", args.prefix,
-        "--out", str(outdir),
-    ] + (["--write-dataset"] if args.write_dataset else [])
-    _write_manifest(outdir, args.prefix, "single-sweep", parameters, args.seed, outputs, argv)
+    _write_manifest(args, outputs)
     print(f"single-sweep: fitted zeta={fit.zeta:.4f} eta={fit.eta:.4f} -> {outdir}")
     return 0
 
 
 def _cmd_epr_sweep(args) -> int:
     outdir = _resolve_outdir(args)
-    rate = args.rate if args.rate is not None else 4.0 * math.pi / args.samples
+    if args.rate is None:
+        args.rate = 4.0 * math.pi / args.samples
     pipeline = PipelineConfig(
         zeta=args.zeta,
         relative_phase=args.relative_phase,
@@ -174,7 +199,7 @@ def _cmd_epr_sweep(args) -> int:
         mismatch=args.mismatch,
     )
     config = SweepConfig(
-        phases=(PhaseSchedule(args.theta0, rate), PhaseSchedule(args.theta2, 0.0)),
+        phases=(PhaseSchedule(args.theta0, args.rate), PhaseSchedule(args.theta2, 0.0)),
         n_samples=args.samples,
         seed=args.seed,
     )
@@ -209,35 +234,7 @@ def _cmd_epr_sweep(args) -> int:
     _write_json(outdir / fit_name, fit_payload)
     outputs.append(fit_name)
 
-    parameters = {
-        "zeta": args.zeta,
-        "eta": args.eta,
-        "relative_phase": args.relative_phase,
-        "mismatch": args.mismatch,
-        "samples": args.samples,
-        "theta0": args.theta0,
-        "theta2": args.theta2,
-        "rate": rate,
-        "window": args.window,
-        "write_dataset": bool(args.write_dataset),
-        "prefix": args.prefix,
-    }
-    argv = [
-        "epr-sweep",
-        "--zeta", _fmt(args.zeta),
-        "--eta", _fmt(args.eta),
-        "--relative-phase", _fmt(args.relative_phase),
-        "--mismatch", _fmt(args.mismatch),
-        "--samples", str(args.samples),
-        "--theta0", _fmt(args.theta0),
-        "--theta2", _fmt(args.theta2),
-        "--rate", _fmt(rate),
-        "--window", str(args.window),
-        "--seed", str(args.seed),
-        "--prefix", args.prefix,
-        "--out", str(outdir),
-    ] + (["--write-dataset"] if args.write_dataset else [])
-    _write_manifest(outdir, args.prefix, "epr-sweep", parameters, args.seed, outputs, argv)
+    _write_manifest(args, outputs)
     print(
         f"epr-sweep: fitted zeta={fit.zeta:.4f} eta={fit.eta:.4f}, "
         f"difference-trace min {trace_min:.4f} "
@@ -258,61 +255,34 @@ def _cmd_tomography(args) -> int:
         print("eprsim: --ref-zeta and --ref-eta must be given together", file=sys.stderr)
         return 2
     dataset = QuadratureDataset.from_csv(args.input)
+    reference = None
+    if args.ref_zeta is not None:
+        if dataset.n_modes != 2:
+            raise UnsupportedStateError("reference comparison needs a 2-mode dataset")
+        reference = tmsv_fock(args.ref_zeta, args.cutoff)
+        for m in range(2):
+            reference = loss_fock(reference, m, args.ref_eta)
 
     state, diagnostics = reconstruct(dataset, config)
-
-    outdir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    state_name = f"{args.prefix}_state.json"
-    _write_json(outdir / state_name, state.to_json_dict())
-    outputs.append(state_name)
-    diag_name = f"{args.prefix}_diagnostics.json"
-    _write_json(outdir / diag_name, diagnostics.to_json_dict())
-    outputs.append(diag_name)
 
     summary = {
         "mean_photon": [mean_photon(state, m) for m in range(state.n_modes)],
         "reference": None,
     }
-    if args.ref_zeta is not None:
-        reference = tmsv_fock(args.ref_zeta, args.cutoff)
-        for m in range(2):
-            reference = loss_fock(reference, m, args.ref_eta)
-        if state.n_modes != 2:
-            raise UnsupportedStateError("reference comparison needs a 2-mode dataset")
+    if reference is not None:
         summary["reference"] = {
             "zeta": args.ref_zeta,
             "eta": args.ref_eta,
             "fidelity": fidelity(state, reference),
             "mean_photon": [mean_photon(reference, m) for m in range(2)],
         }
-    summary_name = f"{args.prefix}_summary.json"
-    _write_json(outdir / summary_name, summary)
-    outputs.append(summary_name)
+    payloads = {"state": state.to_json_dict(), "diagnostics": diagnostics.to_json_dict(), "summary": summary}
+    outdir.mkdir(parents=True, exist_ok=True)
+    outputs = [f"{args.prefix}_{kind}.json" for kind in payloads]
+    for name, payload in zip(outputs, payloads.values()):
+        _write_json(outdir / name, payload)
 
-    parameters = {
-        "input": str(args.input),
-        "cutoff": args.cutoff,
-        "max_iterations": args.max_iterations,
-        "stop_tol": args.stop_tol,
-        "dilution": args.dilution,
-        "ref_zeta": args.ref_zeta,
-        "ref_eta": args.ref_eta,
-        "prefix": args.prefix,
-    }
-    argv = [
-        "tomography",
-        "--input", str(args.input),
-        "--cutoff", str(args.cutoff),
-        "--max-iterations", str(args.max_iterations),
-        "--stop-tol", _fmt(args.stop_tol),
-        "--dilution", _fmt(args.dilution),
-        "--prefix", args.prefix,
-        "--out", str(outdir),
-    ]
-    if args.ref_zeta is not None:
-        argv += ["--ref-zeta", _fmt(args.ref_zeta), "--ref-eta", _fmt(args.ref_eta)]
-    _write_manifest(outdir, args.prefix, "tomography", parameters, None, outputs, argv)
+    _write_manifest(args, outputs)
     print(
         f"tomography: {diagnostics.iterations} iterations, "
         f"loglik {diagnostics.loglik:.2f}, mean photon "
@@ -329,8 +299,6 @@ def _cmd_fit(args) -> int:
             print("eprsim: fit --kind single needs --trace", file=sys.stderr)
             return 2
         result = fit_single(VarianceTrace.from_csv(args.trace))
-        inputs = {"trace": str(args.trace)}
-        argv_tail = ["--trace", str(args.trace)]
     else:
         if args.trace_sum is None or args.trace_diff is None:
             print("eprsim: fit --kind epr needs --trace-sum and --trace-diff", file=sys.stderr)
@@ -338,68 +306,47 @@ def _cmd_fit(args) -> int:
         result = fit_epr(
             VarianceTrace.from_csv(args.trace_sum), VarianceTrace.from_csv(args.trace_diff)
         )
-        inputs = {"trace_sum": str(args.trace_sum), "trace_diff": str(args.trace_diff)}
-        argv_tail = ["--trace-sum", str(args.trace_sum), "--trace-diff", str(args.trace_diff)]
 
     outdir.mkdir(parents=True, exist_ok=True)
     fit_name = f"{args.prefix}_fit.json"
     _write_json(outdir / fit_name, result.to_json_dict())
-    parameters = {"kind": args.kind, **inputs, "prefix": args.prefix}
-    argv = ["fit", "--kind", args.kind, "--prefix", args.prefix, "--out", str(outdir)] + argv_tail
-    _write_manifest(outdir, args.prefix, "fit", parameters, None, [fit_name], argv)
+    _write_manifest(args, [fit_name])
     print(f"fit: zeta={result.zeta:.4f} eta={result.eta:.4f} -> {outdir / fit_name}")
     return 0
 
 
-def _design_rows(args) -> tuple[list[dict], dict, list[str]]:
-    quantity = args.quantity
-    if quantity == "rayleigh":
+def _design_rows(args) -> list[dict]:
+    if args.quantity == "rayleigh":
         value = rayleigh_range(args.w0, args.wavelength)
-        rows = [{"quantity": "rayleigh_range", "value": value, "unit": "m"}]
-        params = {"w0": args.w0, "wavelength": args.wavelength}
-        tail = ["--w0", _fmt(args.w0), "--wavelength", _fmt(args.wavelength)]
-    elif quantity == "radius":
+        return [{"quantity": "rayleigh_range", "value": value, "unit": "m"}]
+    if args.quantity == "radius":
         value = beam_radius(args.z, args.w0, args.wavelength)
-        rows = [
+        return [
             {"quantity": "beam_radius", "value": value, "unit": "m"},
             {"quantity": "beam_radius_over_waist", "value": value / args.w0, "unit": "dimensionless"},
         ]
-        params = {"z": args.z, "w0": args.w0, "wavelength": args.wavelength}
-        tail = ["--z", _fmt(args.z), "--w0", _fmt(args.w0), "--wavelength", _fmt(args.wavelength)]
-    elif quantity == "walkoff":
+    if args.quantity == "walkoff":
         if args.preset is not None:
-            v_pump, v_signal = WALKOFF_PRESETS[args.preset]
-        elif args.v_pump is not None and args.v_signal is not None:
-            v_pump, v_signal = args.v_pump, args.v_signal
-        else:
+            # the manifest replays the preset as the velocities it stands for
+            args.v_pump, args.v_signal = WALKOFF_PRESETS[args.preset]
+            args.preset = None
+        elif args.v_pump is None or args.v_signal is None:
             raise ValueError("walkoff needs --preset or both --v-pump and --v-signal")
-        value = walkoff_path(args.length, v_pump, v_signal)
-        rows = [{"quantity": "walkoff_path", "value": value, "unit": "m"}]
-        params = {"length": args.length, "v_pump": v_pump, "v_signal": v_signal}
-        tail = [
-            "--length", _fmt(args.length),
-            "--v-pump", _fmt(v_pump),
-            "--v-signal", _fmt(v_signal),
-        ]
-    else:  # compensation
-        value = compensation_length(args.delay, args.dn_group)
-        rows = [{"quantity": "compensation_length", "value": value, "unit": "m"}]
-        params = {"delay": args.delay, "dn_group": args.dn_group}
-        tail = ["--delay", _fmt(args.delay), "--dn-group", _fmt(args.dn_group)]
-    return rows, params, tail
+        value = walkoff_path(args.length, args.v_pump, args.v_signal)
+        return [{"quantity": "walkoff_path", "value": value, "unit": "m"}]
+    value = compensation_length(args.delay, args.dn_group)
+    return [{"quantity": "compensation_length", "value": value, "unit": "m"}]
 
 
 def _cmd_design(args) -> int:
-    rows, params, argv_tail = _design_rows(args)
-    text = json.dumps(rows, indent=2)
+    text = json.dumps(_design_rows(args), indent=2)
     print(text)
     if args.out is not None or os.environ.get(OUTDIR_ENV):
         outdir = _resolve_outdir(args)
         outdir.mkdir(parents=True, exist_ok=True)
         name = f"{args.prefix}_design.json"
         (outdir / name).write_bytes((text + "\n").encode("ascii"))
-        argv = ["design", args.quantity, "--prefix", args.prefix, "--out", str(outdir)] + argv_tail
-        _write_manifest(outdir, args.prefix, "design", {"quantity": args.quantity, **params}, None, [name], argv)
+        _write_manifest(args, [name])
     return 0
 
 
@@ -429,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta0", type=float, default=0.0, help="LO phase at sample 0 (rad)")
     p.add_argument("--rate", type=float, default=None, help="LO phase rate (rad/sample); default spans 2 periods")
     p.add_argument("--window", type=_positive_int, default=2000, help="samples per variance bin")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_nonneg_int, default=1)
     p.add_argument("--write-dataset", action="store_true", help="also write the raw samples CSV")
     _add_common_output_options(p, "single")
     p.set_defaults(handler=_cmd_single_sweep)
@@ -444,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta2", type=float, default=0.0, help="fixed mode-2 LO phase (rad)")
     p.add_argument("--rate", type=float, default=None, help="mode-1 LO phase rate (rad/sample)")
     p.add_argument("--window", type=_positive_int, default=2000)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_nonneg_int, default=1)
     p.add_argument("--write-dataset", action="store_true")
     _add_common_output_options(p, "epr")
     p.set_defaults(handler=_cmd_epr_sweep)
@@ -469,47 +416,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("design", help="beam-geometry and walk-off calculators")
-    p.add_argument("quantity", choices=("rayleigh", "radius", "walkoff", "compensation"))
-    p.add_argument("--w0", type=_length, help="waist radius (e.g. 12.4um)")
-    p.add_argument("--wavelength", type=_length, help="wavelength (e.g. 390nm)")
-    p.add_argument("--z", type=_length, help="distance from the waist (e.g. 0.72mm)")
-    p.add_argument("--length", type=_length, help="crystal length (e.g. 1mm)")
+    quantities = p.add_subparsers(dest="quantity", required=True)
+    p = quantities.add_parser("rayleigh", help="Rayleigh range of a Gaussian beam")
+    p.add_argument("--w0", type=_length, required=True, help="waist radius (e.g. 12.4um)")
+    p.add_argument("--wavelength", type=_length, required=True, help="wavelength (e.g. 390nm)")
+    p = quantities.add_parser("radius", help="beam radius at a distance from the waist")
+    p.add_argument("--z", type=_length, required=True, help="distance from the waist (e.g. 0.72mm)")
+    p.add_argument("--w0", type=_length, required=True, help="waist radius (e.g. 12.4um)")
+    p.add_argument("--wavelength", type=_length, required=True, help="wavelength (e.g. 390nm)")
+    p = quantities.add_parser("walkoff", help="pump/signal walk-off path in a crystal")
+    p.add_argument("--length", type=_length, required=True, help="crystal length (e.g. 1mm)")
     p.add_argument("--preset", choices=sorted(WALKOFF_PRESETS), help="built-in group-velocity pair")
     p.add_argument("--v-pump", type=_positive_float, help="pump group velocity (fraction of c)")
     p.add_argument("--v-signal", type=_positive_float, help="signal group velocity (fraction of c)")
-    p.add_argument("--delay", type=_length, help="delay to compensate (e.g. 0.58mm)")
-    p.add_argument("--dn-group", type=float, help="group-index difference of the compensator")
-    _add_common_output_options(p, "design")
-    p.set_defaults(handler=_cmd_design)
+    p = quantities.add_parser("compensation", help="compensator length for a walk-off delay")
+    p.add_argument("--delay", type=_length, required=True, help="delay to compensate (e.g. 0.58mm)")
+    p.add_argument("--dn-group", type=float, required=True, help="group-index difference of the compensator")
+    for p in quantities.choices.values():
+        _add_common_output_options(p, "design")
+        p.set_defaults(handler=_cmd_design)
 
     return parser
 
 
-def _check_design_args(args) -> str | None:
-    needed = {
-        "rayleigh": ("w0", "wavelength"),
-        "radius": ("z", "w0", "wavelength"),
-        "walkoff": ("length",),
-        "compensation": ("delay", "dn_group"),
-    }[args.quantity]
-    missing = [name for name in needed if getattr(args, name) is None]
-    if missing:
-        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        return f"design {args.quantity} needs {flags}"
-    return None
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if args.command == "design":
-        message = _check_design_args(args)
-        if message:
-            print(f"eprsim: {message}", file=sys.stderr)
-            return 2
     try:
         return args.handler(args)
     except DataFormatError as exc:
@@ -533,3 +467,7 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry_point()

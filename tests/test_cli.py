@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eprsim
 from eprsim.cli import main
 from eprsim.fitting import fit_sinusoid
 from eprsim.gaussian import PipelineConfig, epr_pipeline, vacuum
@@ -55,22 +59,11 @@ class TestSingleSweep:
         for name in ("single_data.csv", "single_trace.csv", "single_fit.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_manifest_rerun_reproduces_bytes(self, tmp_path):
-        out1 = tmp_path / "first"
-        assert main(["single-sweep", "--samples", "60000", "--seed", "11", "--out", str(out1)]) == 0
-        manifest = read_json(out1 / "single_manifest.json")
-        argv = manifest["argv"]
-        out2 = tmp_path / "second"
-        argv[argv.index("--out") + 1] = str(out2)
-        assert main(argv) == 0
-        for name in manifest["outputs"]:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
     def test_validates_before_writing(self, tmp_path):
         out = tmp_path / "untouched"
-        rc = main(["single-sweep", "--eta", "1.5", "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
+        for bad in (["--eta", "1.5"], ["--seed", "-1"]):
+            assert main(["single-sweep", *bad, "--out", str(out)]) == 2
+            assert not out.exists()
 
 
 class TestEprSweep:
@@ -125,6 +118,12 @@ class TestEprSweep:
         trace = VarianceTrace.from_csv(tmp_path / "epr_mode1_trace.csv")
         wobble = fit_sinusoid(trace.bin_center_index, trace.variance)
         assert wobble.amplitude > 0.01
+
+    def test_validates_before_writing(self, tmp_path):
+        out = tmp_path / "untouched"
+        for bad in (["--mismatch", "1.5"], ["--seed", "-1"]):
+            assert main(["epr-sweep", *bad, "--out", str(out)]) == 2
+            assert not out.exists()
 
 
 class TestTomographyCommand:
@@ -193,6 +192,19 @@ class TestTomographyCommand:
         rc = main(["tomography", "--input", str(bad), "--cutoff", "3", "--out", str(tmp_path)])
         assert rc == 3
         assert "line 4" in capsys.readouterr().err
+
+    def test_reference_needs_two_modes_before_reconstructing(self, tmp_path, capsys, monkeypatch):
+        config = SweepConfig(phases=(PhaseSchedule(0.0, 1e-3),), n_samples=2000, seed=63)
+        data_path = tmp_path / "one_mode.csv"
+        sample(vacuum(1), config).to_csv(data_path)
+        monkeypatch.setattr("eprsim.cli.reconstruct", lambda *a: pytest.fail("reconstruct ran"))
+        out = tmp_path / "untouched"
+        rc = main(
+            ["tomography", "--input", str(data_path), "--ref-zeta", "0.4", "--ref-eta", "0.5", "--out", str(out)]
+        )
+        assert rc == 4
+        assert "reference comparison needs a 2-mode dataset" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_reference_flag_pair(self, tmp_path):
         rc = main(["tomography", "--input", "x.csv", "--ref-zeta", "0.4", "--out", str(tmp_path)])
@@ -310,6 +322,12 @@ class TestDesignCommand:
         assert rc == 2
         assert "--wavelength" in capsys.readouterr().err
 
+    def test_walkoff_needs_preset_or_velocities(self, tmp_path, capsys):
+        rc = main(["design", "walkoff", "--length", "1mm", "--v-pump", "0.4", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--preset or both --v-pump and --v-signal" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_bad_unit_token_reported(self, capsys):
         rc = main(["design", "rayleigh", "--w0", "12.4lightyears", "--wavelength", "390nm"])
         assert rc == 2
@@ -358,3 +376,130 @@ class TestCliPlumbing:
             ["single-sweep", "--samples", "40000", "--seed", "2", "--serial", "--out", str(tmp_path)]
         )
         assert rc == 0
+
+
+SMALL_SWEEP = ["--samples", "20000", "--window", "1000", "--seed", "5"]
+
+# One small run of each subcommand; "{inputs}" is the directory of the
+# ``replay_inputs`` fixture.  ``--theta0=-1e-05`` is a negative value in
+# exponent form, which argparse would take for an option if given as a
+# separate word.
+REPLAY_CASES = {
+    "single-sweep": ["single-sweep", *SMALL_SWEEP, "--theta0", "-0.7", "--write-dataset"],
+    "epr-sweep": ["epr-sweep", *SMALL_SWEEP, "--theta0=-1e-05", "--write-dataset"],
+    "tomography": [
+        "tomography", "--input", "{inputs}/epr_data.csv", "--cutoff", "2", "--max-iterations", "30",
+    ],
+    "tomography-reference": [
+        "tomography", "--input", "{inputs}/epr_data.csv", "--cutoff", "3", "--max-iterations", "30",
+        "--ref-zeta", "0.44", "--ref-eta", "0.5",
+    ],
+    "fit-single": ["fit", "--kind", "single", "--trace", "{inputs}/single_trace.csv"],
+    "fit-epr": [
+        "fit", "--kind", "epr",
+        "--trace-sum", "{inputs}/epr_sum_trace.csv",
+        "--trace-diff", "{inputs}/epr_difference_trace.csv",
+    ],
+    "design-walkoff": ["design", "walkoff", "--length", "1mm", "--preset", "ppktp"],
+    "design-radius": ["design", "radius", "--z", "0.72mm", "--w0", "12.4um", "--wavelength", "390nm"],
+}
+
+# The manifest parameters of each case as the hand-written manifests recorded
+# them, except that tomography without a reference no longer records
+# ref_zeta/ref_eta as null and design now records its prefix.
+PINNED_PARAMETERS = {
+    "single-sweep": {
+        "zeta": 0.44, "eta": 0.52, "samples": 20000, "theta0": -0.7, "rate": 0.0006283185307179586,
+        "window": 1000, "write_dataset": True, "prefix": "single",
+    },
+    "epr-sweep": {
+        "zeta": 0.44, "eta": 0.5, "relative_phase": 1.5707963267948966, "mismatch": 0.0,
+        "samples": 20000, "theta0": -1e-05, "theta2": 0.0, "rate": 0.0006283185307179586,
+        "window": 1000, "write_dataset": True, "prefix": "epr",
+    },
+    "tomography": {
+        "input": "{inputs}/epr_data.csv", "cutoff": 2, "max_iterations": 30, "stop_tol": 1e-08,
+        "dilution": 1.0, "prefix": "tomo",
+    },
+    "tomography-reference": {
+        "input": "{inputs}/epr_data.csv", "cutoff": 3, "max_iterations": 30, "stop_tol": 1e-08,
+        "dilution": 1.0, "ref_zeta": 0.44, "ref_eta": 0.5, "prefix": "tomo",
+    },
+    "fit-single": {"kind": "single", "trace": "{inputs}/single_trace.csv", "prefix": "fit"},
+    "fit-epr": {
+        "kind": "epr", "trace_sum": "{inputs}/epr_sum_trace.csv",
+        "trace_diff": "{inputs}/epr_difference_trace.csv", "prefix": "fit",
+    },
+    "design-walkoff": {
+        "quantity": "walkoff", "length": 0.001, "v_pump": 0.41, "v_signal": 0.52, "prefix": "design",
+    },
+    "design-radius": {
+        "quantity": "radius", "z": 0.0007199999999999999, "w0": 1.24e-05, "wavelength": 3.9e-07,
+        "prefix": "design",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def replay_inputs(tmp_path_factory):
+    """Dataset and trace CSVs that the tomography and fit cases read."""
+    inputs = tmp_path_factory.mktemp("inputs")
+    for command in ("single-sweep", "epr-sweep"):
+        assert main([command, *SMALL_SWEEP, "--write-dataset", "--out", str(inputs)]) == 0
+    return inputs
+
+
+def run_case(case: str, inputs: Path, out: Path) -> dict:
+    """Run a replay case into ``out`` and return its manifest."""
+    argv = [word.replace("{inputs}", str(inputs)) for word in REPLAY_CASES[case]]
+    assert main(argv + ["--out", str(out)]) == 0
+    (manifest_path,) = out.glob("*_manifest.json")
+    return read_json(manifest_path)
+
+
+def with_out(manifest: dict, out: Path) -> dict:
+    argv = list(manifest["argv"])
+    argv[argv.index("--out") + 1] = str(out)
+    return {**manifest, "argv": argv}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+    def test_manifest_rerun_reproduces_bytes(self, tmp_path, replay_inputs, case):
+        out1, out2 = tmp_path / "first", tmp_path / "second"
+        manifest = run_case(case, replay_inputs, out1)
+        assert main(with_out(manifest, out2)["argv"]) == 0
+        for name in manifest["outputs"]:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        (replayed_path,) = out2.glob("*_manifest.json")
+        assert with_out(read_json(replayed_path), out1) == manifest
+
+    @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+    def test_parameters_pinned(self, tmp_path, replay_inputs, case):
+        parameters = run_case(case, replay_inputs, tmp_path)["parameters"]
+        expected = {
+            key: value.replace("{inputs}", str(replay_inputs)) if isinstance(value, str) else value
+            for key, value in PINNED_PARAMETERS[case].items()
+        }
+        assert list(parameters.items()) == list(expected.items())
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["eprsim", "eprsim.cli"])
+    def test_python_dash_m(self, tmp_path, module):
+        src = str(Path(eprsim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("EPRSIM_OUTDIR", None)
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", module, *args], env=env, capture_output=True, text=True, timeout=120
+            )
+
+        version = run("--version")
+        assert version.returncode == 0
+        assert version.stdout.startswith("eprsim ")
+        out = tmp_path / "run"
+        sweep = run("single-sweep", "--samples", "20000", "--window", "1000", "--seed", "3", "--out", str(out))
+        assert sweep.returncode == 0, sweep.stderr
+        assert read_json(out / "single_manifest.json")["subcommand"] == "single-sweep"

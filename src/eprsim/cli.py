@@ -166,11 +166,11 @@ def _cmd_single_sweep(args) -> int:
     )
     state = loss(squeeze(vacuum(1), 0, args.zeta), 0, args.eta)
 
-    outdir.mkdir(parents=True, exist_ok=True)
     dataset = sample(state, config)
     trace = binned_variance(dataset, args.window, "mode1")
     fit = fit_single(trace)
 
+    outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
     if args.write_dataset:
         name = f"{args.prefix}_data.csv"
@@ -205,7 +205,6 @@ def _cmd_epr_sweep(args) -> int:
     )
     state = epr_pipeline(pipeline)
 
-    outdir.mkdir(parents=True, exist_ok=True)
     dataset = sample(state, config)
     traces = {
         target: binned_variance(dataset, args.window, target)
@@ -213,6 +212,7 @@ def _cmd_epr_sweep(args) -> int:
     }
     fit = fit_epr(traces["sum"], traces["difference"])
 
+    outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
     if args.write_dataset:
         name = f"{args.prefix}_data.csv"
@@ -283,6 +283,13 @@ def _cmd_tomography(args) -> int:
         _write_json(outdir / name, payload)
 
     _write_manifest(args, outputs)
+    caveats = []
+    if not diagnostics.converged:
+        caveats.append(f"stopped at --max-iterations {args.max_iterations} before converging")
+    if diagnostics.phase_deficient:
+        caveats.append("phase-deficient dataset (a mode has fewer than 3 distinct LO phases)")
+    if caveats:
+        print(f"eprsim: warning: tomography {'; '.join(caveats)}", file=sys.stderr)
     print(
         f"tomography: {diagnostics.iterations} iterations, "
         f"loglik {diagnostics.loglik:.2f}, mean photon "
@@ -401,7 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=_positive_int, default=4, help="Fock cutoff per mode")
     p.add_argument("--max-iterations", type=_positive_int, default=2000)
     p.add_argument("--stop-tol", type=_positive_float, default=1e-8)
-    p.add_argument("--dilution", type=_positive_float, default=1.0)
+    p.add_argument(
+        "--dilution", type=_positive_float, default=1.0,
+        help="MaxLik starting and stop-test step in (0, 1]; steps over-relax up to 4",
+    )
     p.add_argument("--ref-zeta", type=_nonneg_float, default=None, help="reference state squeezing")
     p.add_argument("--ref-eta", type=_unit_interval, default=None, help="reference state transmissivity")
     _add_common_output_options(p, "tomo")

@@ -3,9 +3,17 @@
 The estimator is the fixed-point iteration rho <- N[G rho G] with
 G = (1 - d) I + d R(rho),  R(rho) = (1/M) sum_j Pi_j / Tr(rho Pi_j),
 where Pi_j projects onto the quadrature eigenstate of datum j and d is the
-dilution factor (d = 1 is the plain, undiluted map).  The log-likelihood is
-checked every step; if a step would decrease it, the step is retried with a
-smaller d, so accepted iterations are never worse than their predecessor.
+dilution factor (d = 1 is the plain RrhoR map).  The log-likelihood is
+checked every step; if a step would decrease it, the step is retried with
+half the d, so accepted iterations are never worse than their predecessor.
+
+The maximum-likelihood states of squeezed data are rank-deficient, where
+the plain map crawls, so d adapts (Rehacek et al., PRA 75, 042108 (2007)):
+it starts at the configured dilution, is carried from step to step, doubles
+after every step accepted at its first try, up to _DILUTION_CAP, and halves
+on a rejection.  The stop test is the plain one: a relative gain below
+stop_tol ends the run only on a step started at the configured dilution;
+a small gain of any other step resets d to it and tests again.
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ from .fock import FockDensityMatrix
 from .homodyne import QuadratureDataset
 
 _LIKELIHOOD_FLOOR = 1e-300
+# d = 8 was always rejected where tried, so a higher cap only costs passes
+_DILUTION_CAP = 4.0
 
 
 def quad_wavefunction(n: int, x) -> np.ndarray | float:
@@ -91,6 +101,7 @@ class TomographyConfig:
     cutoff: int = 5
     max_iterations: int = 2000
     stop_tol: float = 1e-8
+    # starting step and stop-test step in (0, 1]; steps over-relax up to 4
     dilution: float = 1.0
 
     def __post_init__(self):
@@ -132,23 +143,28 @@ def reconstruct(
 ) -> tuple[FockDensityMatrix, TomographyDiagnostics]:
     """Maximum-likelihood density matrix from a quadrature dataset.
 
-    Starts from the maximally mixed state and iterates the (optionally
-    diluted) fixed-point map until the relative log-likelihood gain drops
-    below config.stop_tol or config.max_iterations is reached.  Raises
-    IllConditionedDatumError, naming the datum, if some record has
-    effectively zero likelihood under the current iterate.
+    Starts from the maximally mixed state and iterates the diluted
+    fixed-point map with an adaptive step until a step started at
+    config.dilution gains less than config.stop_tol relative log-likelihood,
+    or config.max_iterations is reached.  Raises IllConditionedDatumError,
+    naming the datum, if some record has effectively zero likelihood under
+    a candidate iterate.
     """
     if data.n_samples == 0:
         raise ValueError("dataset is empty")
     cache = build_projector_cache(data, config.cutoff)
     overlaps = cache.overlaps
-    conj_overlaps = overlaps.conj()
+    real_overlaps = overlaps.view(float)
     m_records, dim = overlaps.shape
+    # one M x d temporary, shared by R's weighted overlaps and the likelihoods
+    scratch = np.empty_like(overlaps)
     identity = np.eye(dim, dtype=complex)
     rho = identity / dim
 
     def checked_likelihoods(candidate: np.ndarray) -> np.ndarray:
-        p = np.einsum("md,md->m", conj_overlaps @ candidate, overlaps).real
+        # Tr(rho Pi_j) = Re <o_j| rho |o_j>, a real row-dot of o_j with rho o_j
+        np.matmul(overlaps, candidate.T, out=scratch)
+        p = np.einsum("mk,mk->m", real_overlaps, scratch.view(float))
         if p.min() < _LIKELIHOOD_FLOOR:
             bad = int(np.argmin(p))
             raise IllConditionedDatumError(bad, float(p[bad]))
@@ -159,14 +175,17 @@ def reconstruct(
     history = [loglik]
     converged = False
     iterations = 0
+    step = config.dilution
 
     for _ in range(config.max_iterations):
         weights = 1.0 / (m_records * p)
-        r_op = (overlaps * weights[:, None]).T @ conj_overlaps
+        # R[a, b] = sum_j w_j o_j[a] conj(o_j[b]), the conjugate taken in scratch
+        np.multiply(overlaps, weights[:, None], out=scratch)
+        np.conjugate(scratch, out=scratch)
+        r_op = (scratch.T @ overlaps).conj()
         r_op = 0.5 * (r_op + r_op.conj().T)
 
-        dilution = config.dilution
-        accepted = False
+        dilution = step
         for _attempt in range(60):
             g = (1.0 - dilution) * identity + dilution * r_op
             candidate = g @ rho @ g.conj().T
@@ -175,10 +194,9 @@ def reconstruct(
             p_new = checked_likelihoods(candidate)
             loglik_new = float(np.sum(np.log(p_new)))
             if loglik_new >= loglik:
-                accepted = True
                 break
             dilution *= 0.5
-        if not accepted:
+        else:
             # fixed point reached to machine precision; no admissible step
             converged = True
             break
@@ -188,8 +206,16 @@ def reconstruct(
         loglik = loglik_new
         history.append(loglik)
         if gain <= config.stop_tol * max(1.0, abs(loglik)):
-            converged = True
-            break
+            if step == config.dilution:
+                converged = True
+                break
+            # a small over- or under-relaxed gain proves nothing: re-test
+            # with the configured step
+            step = config.dilution
+        elif dilution == step:
+            step = min(2.0 * step, _DILUTION_CAP)
+        else:
+            step = dilution
 
     state = FockDensityMatrix(data.n_modes, config.cutoff, rho)
     diagnostics = TomographyDiagnostics(

@@ -65,6 +65,19 @@ class TestSingleSweep:
             assert main(["single-sweep", *bad, "--out", str(out)]) == 2
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, ill_posed",
+        [("single-sweep", ["--rate", "1e-4"]), ("epr-sweep", ["--window", "4000"])],
+        ids=["single-sweep", "epr-sweep"],
+    )
+    def test_failed_fit_creates_no_directory(self, tmp_path, capsys, command, ill_posed):
+        # under one period of 2*theta, or fewer than 8 bins: the fit is ill-posed
+        out = tmp_path / "untouched"
+        rc = main([command, "--samples", "20000", "--window", "1000", *ill_posed, "--out", str(out)])
+        assert rc == 4
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEprSweep:
     def test_defaults_against_published_point(self, tmp_path):
@@ -177,6 +190,26 @@ class TestTomographyCommand:
         p00 = payload["entries"][0][0]
         assert p00 >= 0.99
         assert len(payload["entries"]) == dim * dim
+
+    def test_warns_when_not_converged_or_phase_deficient(self, tmp_path, capsys):
+        swept, fixed = tmp_path / "swept.csv", tmp_path / "fixed.csv"
+        for path, rate in ((swept, 1e-3), (fixed, 0.0)):
+            config = SweepConfig(phases=(PhaseSchedule(0.0, rate),), n_samples=2000, seed=64)
+            sample(vacuum(1), config).to_csv(path)
+
+        def run(path, *extra):
+            out = tmp_path / f"{path.stem}{len(extra)}"
+            assert main(["tomography", "--input", str(path), "--cutoff", "3", *extra, "--out", str(out)]) == 0
+            assert set(read_json(out / "tomo_diagnostics.json")) == {"iterations", "loglik", "phase_deficient"}
+            captured = capsys.readouterr()
+            assert captured.out.startswith("tomography: ")
+            return captured.err.splitlines()
+
+        assert run(swept) == []
+        (line,) = run(swept, "--max-iterations", "2")
+        assert line.startswith("eprsim: warning: ") and "--max-iterations 2" in line
+        (line,) = run(fixed)
+        assert line.startswith("eprsim: warning: ") and "phase-deficient" in line
 
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

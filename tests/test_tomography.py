@@ -79,6 +79,34 @@ class TestProjectorOverlaps:
         np.testing.assert_allclose(row, np.kron(left, right), atol=1e-12)
 
 
+def _two_mode_small():
+    state = epr_pipeline(PipelineConfig(zeta=0.44, eta=0.5))
+    n = 60_000
+    phases = (PhaseSchedule(0.0, 2 * math.pi * 11 / n), PhaseSchedule(0.3, 2 * math.pi * 4 / n))
+    data = sample(state, SweepConfig(phases=phases, n_samples=n, seed=53))
+    return data, TomographyConfig(cutoff=3, stop_tol=1e-7)
+
+
+def _squeezed_cutoff_6():
+    state = loss(squeeze(vacuum(1), 0, 0.44), 0, 0.52)
+    data = sample(state, SweepConfig(phases=(PhaseSchedule(0.0, 2e-4),), n_samples=30_000, seed=55))
+    return data, TomographyConfig(cutoff=6)
+
+
+def _vacuum_cutoff_4():
+    config = SweepConfig(phases=(PhaseSchedule(0.0, 2 * math.pi * 7 / 100_000),), n_samples=100_000, seed=51)
+    return sample(vacuum(1), config), TomographyConfig(cutoff=4)
+
+
+# Final log-likelihood and iteration count of the plain map (d = 1 at every
+# step, halved only on a decrease) on the datasets of three tests below.
+PLAIN_MAP_RESULTS = {
+    "two_mode_round_trip_small": (_two_mode_small, -136735.4881, 74),
+    "loglik_monotone": (_squeezed_cutoff_6, -34536.4887, 71),
+    "vacuum_recovery": (_vacuum_cutoff_4, -107050.9291, 264),
+}
+
+
 class TestReconstruct:
     def test_vacuum_recovery(self):
         config = SweepConfig(
@@ -147,6 +175,30 @@ class TestReconstruct:
         rho, diag = reconstruct(data, TomographyConfig(cutoff=4, max_iterations=300))
         assert diag.phase_deficient
         assert float(np.trace(rho.matrix).real) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(PLAIN_MAP_RESULTS))
+    def test_ends_above_plain_map_in_fewer_iterations(self, case):
+        make, plain_loglik, plain_iterations = PLAIN_MAP_RESULTS[case]
+        _, diag = reconstruct(*make())
+        assert diag.converged
+        assert diag.loglik >= plain_loglik
+        assert diag.iterations < plain_iterations
+
+    @pytest.mark.parametrize("stop_tol", [1e-2, 1e-3])
+    def test_loose_stop_tol_stops_early(self, stop_tol):
+        # a small over-relaxed gain must hand over to a stop test at the plain step
+        data, _ = _squeezed_cutoff_6()
+        _, diag = reconstruct(data, TomographyConfig(cutoff=6, stop_tol=stop_tol))
+        assert diag.converged
+        assert diag.iterations < 20
+
+    def test_loglik_is_that_of_the_returned_state(self):
+        full, config = _two_mode_small()
+        data = QuadratureDataset(thetas=full.thetas[:6000], xs=full.xs[:6000])
+        rho, diag = reconstruct(data, config)
+        overlaps = build_projector_cache(data, config.cutoff).overlaps
+        p = np.einsum("md,md->m", overlaps.conj() @ rho.matrix, overlaps).real
+        assert diag.loglik == pytest.approx(float(np.sum(np.log(p))), rel=1e-12)
 
     def test_empty_dataset_rejected(self):
         data = QuadratureDataset(thetas=np.empty((0, 1)), xs=np.empty((0, 1)))

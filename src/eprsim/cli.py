@@ -157,6 +157,15 @@ def _write_manifest(args, outputs: list[str]) -> None:
     _write_json(Path(args.out) / f"{args.prefix}_manifest.json", manifest)
 
 
+def _warn_dropped_samples(args) -> None:
+    if dropped := args.samples % args.window:
+        print(
+            f"eprsim: warning: {args.command} dropped {dropped} trailing samples "
+            "(--samples not a multiple of --window)",
+            file=sys.stderr,
+        )
+
+
 def _cmd_single_sweep(args) -> int:
     outdir = _resolve_outdir(args)
     if args.rate is None:
@@ -184,6 +193,7 @@ def _cmd_single_sweep(args) -> int:
     outputs.append(fit_name)
 
     _write_manifest(args, outputs)
+    _warn_dropped_samples(args)
     print(f"single-sweep: fitted zeta={fit.zeta:.4f} eta={fit.eta:.4f} -> {outdir}")
     return 0
 
@@ -235,6 +245,7 @@ def _cmd_epr_sweep(args) -> int:
     outputs.append(fit_name)
 
     _write_manifest(args, outputs)
+    _warn_dropped_samples(args)
     print(
         f"epr-sweep: fitted zeta={fit.zeta:.4f} eta={fit.eta:.4f}, "
         f"difference-trace min {trace_min:.4f} "

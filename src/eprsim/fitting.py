@@ -37,13 +37,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import IllPosedFitError
 from .homodyne import VarianceTrace
 
 _FLAT_TOL = 1e-9
 _SPACING_RTOL = 1e-9  # allowed deviation of a bin spacing from the mean spacing
+
+
+def least_squares(*args, **kwargs):
+    """`scipy.optimize.least_squares`, imported on first call: importing
+    scipy.optimize costs ~0.4 s, which commands that fit nothing skip."""
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    return scipy_least_squares(*args, **kwargs)
 
 
 @dataclass(frozen=True)

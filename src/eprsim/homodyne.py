@@ -4,20 +4,30 @@ Sampling is deterministic: a PCG64 stream seeded from SweepConfig.seed feeds
 an inverse-CDF normal transform (exactly one uniform per normal draw, no
 rejection), so a given seed always reproduces the same dataset bytes.
 
-CSV formats (LF line endings, 17 significant digits):
+CSV formats (ASCII, LF line endings, 17 significant digits):
 
 * dataset:  index,theta1,x1[,theta2,x2]
 * trace:    bin_center_index,theta1_center[,theta2_center],variance,count
+
+Both are written a block of rows at a time, each block formatted by one
+`%` operation ('%.17g' gives the bytes of f"{v:.17g}"), and read in bulk:
+every non-blank line's field count is checked at once, then each block of
+lines is joined, split on ',' and its value fields parsed by one
+`np.fromiter(map(float, ...))`.  Working a block at a time keeps peak
+memory to one block's text and strings.  The dataset's index column is not
+parsed.  When a bulk check fails, a line scan names the first bad line; it
+only raises.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DataFormatError
 from .gaussian import GaussianState
@@ -63,21 +73,93 @@ class SweepConfig:
         return theta0[None, :] + rate[None, :] * idx
 
 
-def _format(value: float) -> str:
-    return f"{value:.17g}"
+_BLOCK_ROWS = 16384  # rows formatted per write and parsed per step
 
 
-def _check_finite(lines: list[str], data: np.ndarray) -> None:
-    """Raise DataFormatError naming the first line with a non-finite value.
+def _write_csv(path, header: str, row_format: str, columns: list[np.ndarray]) -> None:
+    """Write `header`, then one `row_format` line per row of `columns`."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
+            text = (row_format * len(block)) % tuple(block.ravel().tolist())
+            fh.write(text.encode("ascii"))
 
-    `data` holds one row per non-blank line of the CSV `lines` after the
-    header; the line is looked up only when a value is not finite.
+
+def _read_lines(path) -> list[str]:
+    """The lines of an ASCII file, numbered as `str.splitlines` numbers them."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        line = len((raw[: exc.start].decode("ascii") + "x").splitlines())
+        raise DataFormatError(f"non-ASCII byte 0x{raw[exc.start]:02x}", line=line) from None
+
+
+def _read_csv(
+    path, kind: str, row_name: str, headers: tuple[str, ...], has_index: bool
+) -> tuple[list[str], np.ndarray]:
+    """Read a `kind` CSV whose header is one of `headers`.
+
+    Returns the file's lines and the values: one row per non-blank line
+    after the header, the index field, if `has_index`, left out unparsed.
     """
+    lines = _read_lines(path)
+    if not lines:
+        raise DataFormatError(f"empty {kind} file", line=1)
+    header = lines[0].strip()
+    if header not in headers:
+        raise DataFormatError(f"unrecognized {kind} header {header!r}", line=1)
+    n_fields = header.count(",") + 1
+    body = list(filter(str.strip, lines[1:]))
+    if set(map(str.count, body, repeat(","))) - {n_fields - 1}:
+        _raise_first_bad_line(lines, n_fields, has_index)
+    if not body:
+        raise DataFormatError(f"{kind} has no {row_name}", line=2)
+    data = np.empty((len(body), n_fields - 1 if has_index else n_fields))
+    for start in range(0, len(body), _BLOCK_ROWS):
+        fields = ",".join(body[start : start + _BLOCK_ROWS]).split(",")
+        if has_index:
+            del fields[::n_fields]
+        try:
+            values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
+        except ValueError:
+            _raise_first_bad_line(lines, n_fields, has_index)
+        data[start : start + _BLOCK_ROWS] = values.reshape(-1, data.shape[1])
     finite = np.isfinite(data).all(axis=1)
-    if finite.all():
-        return
+    if not finite.all():
+        _raise_at_row(lines, int(np.argmin(finite)), "values must be finite")
+    return lines, data
+
+
+def _raise_first_bad_line(lines: list[str], n_fields: int, has_index: bool) -> NoReturn:
+    """Raise DataFormatError for the first line after the header with a
+    wrong field count or an unparsable value.  Called only when a bulk
+    check has failed, so some line is bad."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != n_fields:
+            raise DataFormatError(f"expected {n_fields} fields, got {len(parts)}", line=lineno)
+        try:
+            list(map(float, parts[1:] if has_index else parts))
+        except ValueError as exc:
+            raise DataFormatError(str(exc), line=lineno) from None
+    raise RuntimeError("bulk CSV check failed on no line")
+
+
+def _raise_at_row(lines: list[str], row: int, message: str) -> NoReturn:
+    """Raise DataFormatError naming the line of data row `row`, counting the
+    non-blank lines after the header."""
     data_lines = [lineno for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
-    raise DataFormatError("values must be finite", line=data_lines[int(np.argmin(finite))])
+    raise DataFormatError(message, line=data_lines[row])
+
+
+def _positive_integers(values) -> np.ndarray:
+    """Elementwise: is the value an integer in [1, 2**53]?"""
+    values = np.asarray(values, dtype=float)
+    return (values >= 1) & (values <= 2.0**53) & (np.floor(values) == values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,47 +192,16 @@ class QuadratureDataset:
         return self.thetas.shape[1]
 
     def to_csv(self, path) -> None:
-        cols = ["index"]
+        header = "index" + "".join(f",theta{m + 1},x{m + 1}" for m in range(self.n_modes))
+        columns = [np.arange(self.n_samples)]
         for m in range(self.n_modes):
-            cols += [f"theta{m + 1}", f"x{m + 1}"]
-        lines = [",".join(cols)]
-        for i in range(self.n_samples):
-            row = [str(i)]
-            for m in range(self.n_modes):
-                row += [_format(self.thetas[i, m]), _format(self.xs[i, m])]
-            lines.append(",".join(row))
-        Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+            columns += [self.thetas[:, m], self.xs[:, m]]
+        _write_csv(path, header, "%d" + ",%.17g,%.17g" * self.n_modes + "\n", columns)
 
     @classmethod
     def from_csv(cls, path) -> "QuadratureDataset":
-        text = Path(path).read_text(encoding="ascii")
-        lines = text.splitlines()
-        if not lines:
-            raise DataFormatError("empty dataset file", line=1)
-        header = lines[0].strip()
-        if header == "index,theta1,x1":
-            n_modes = 1
-        elif header == "index,theta1,x1,theta2,x2":
-            n_modes = 2
-        else:
-            raise DataFormatError(f"unrecognized dataset header {header!r}", line=1)
-        rows = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 1 + 2 * n_modes:
-                raise DataFormatError(
-                    f"expected {1 + 2 * n_modes} fields, got {len(parts)}", line=lineno
-                )
-            try:
-                rows.append([float(p) for p in parts[1:]])
-            except ValueError as exc:
-                raise DataFormatError(str(exc), line=lineno) from None
-        if not rows:
-            raise DataFormatError("dataset has no records", line=2)
-        data = np.array(rows)
-        _check_finite(lines, data)
+        headers = ("index,theta1,x1", "index,theta1,x1,theta2,x2")
+        _, data = _read_csv(path, "dataset", "records", headers, has_index=True)
         return cls(data[:, 0::2], data[:, 1::2])
 
 
@@ -167,13 +218,15 @@ class VarianceTrace:
         bci = np.asarray(self.bin_center_index, dtype=float)
         tc = np.atleast_2d(np.asarray(self.theta_centers, dtype=float))
         var = np.asarray(self.variance, dtype=float)
-        cnt = np.asarray(self.count, dtype=int)
-        if not (len(bci) == tc.shape[0] == len(var) == len(cnt)):
+        if not (len(bci) == tc.shape[0] == len(var) == len(self.count)):
             raise ValueError("trace columns must have equal length")
         if not all(np.all(np.isfinite(arr)) for arr in (bci, tc, var)):
             raise ValueError("trace columns must be finite")
         if np.any(var < 0):
             raise ValueError("variances must be non-negative")
+        if not _positive_integers(self.count).all():
+            raise ValueError("counts must be positive integers")
+        cnt = np.asarray(self.count, dtype=int)
         for arr in (bci, tc, var, cnt):
             arr.setflags(write=False)
         object.__setattr__(self, "bin_center_index", bci)
@@ -190,56 +243,34 @@ class VarianceTrace:
         return self.theta_centers.shape[1]
 
     def to_csv(self, path) -> None:
-        cols = ["bin_center_index", "theta1_center"]
-        if self.n_modes == 2:
-            cols.append("theta2_center")
-        cols += ["variance", "count"]
-        lines = [",".join(cols)]
-        for i in range(self.n_bins):
-            row = [_format(self.bin_center_index[i])]
-            row += [_format(t) for t in self.theta_centers[i]]
-            row += [_format(self.variance[i]), str(int(self.count[i]))]
-            lines.append(",".join(row))
-        Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+        theta_cols = [f"theta{m + 1}_center" for m in range(self.n_modes)]
+        header = ",".join(["bin_center_index", *theta_cols, "variance", "count"])
+        columns = [self.bin_center_index, *self.theta_centers.T, self.variance, self.count]
+        _write_csv(path, header, "%.17g" + ",%.17g" * self.n_modes + ",%.17g,%d\n", columns)
 
     @classmethod
     def from_csv(cls, path) -> "VarianceTrace":
-        lines = Path(path).read_text(encoding="ascii").splitlines()
-        if not lines:
-            raise DataFormatError("empty trace file", line=1)
-        header = lines[0].strip()
-        if header == "bin_center_index,theta1_center,variance,count":
-            n_modes = 1
-        elif header == "bin_center_index,theta1_center,theta2_center,variance,count":
-            n_modes = 2
-        else:
-            raise DataFormatError(f"unrecognized trace header {header!r}", line=1)
-        rows = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 3 + n_modes:
-                raise DataFormatError(
-                    f"expected {3 + n_modes} fields, got {len(parts)}", line=lineno
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise DataFormatError(str(exc), line=lineno) from None
-        if not rows:
-            raise DataFormatError("trace has no bins", line=2)
-        data = np.array(rows)
-        _check_finite(lines, data)
+        headers = (
+            "bin_center_index,theta1_center,variance,count",
+            "bin_center_index,theta1_center,theta2_center,variance,count",
+        )
+        lines, data = _read_csv(path, "trace", "bins", headers, has_index=False)
+        n_modes = data.shape[1] - 3
+        whole = _positive_integers(data[:, -1])
+        if not whole.all():
+            row = int(np.argmin(whole))
+            _raise_at_row(lines, row, f"count must be a positive integer, got {float(data[row, -1])!r}")
         return cls(
             bin_center_index=data[:, 0],
             theta_centers=data[:, 1 : 1 + n_modes],
             variance=data[:, 1 + n_modes],
-            count=data[:, 2 + n_modes].astype(int),
+            count=data[:, 2 + n_modes],
         )
 
 
 def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
+    from scipy.special import ndtri  # imported here: ~0.2 s that commands sampling nothing skip
+
     u = rng.random(shape)
     # rng.random() can return exactly 0, where the inverse CDF diverges
     u = np.where(u == 0.0, 0.5 ** 54, u)

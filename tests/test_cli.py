@@ -78,6 +78,20 @@ class TestSingleSweep:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["single-sweep", "epr-sweep"])
+    def test_warns_of_dropped_trailing_samples(self, tmp_path, capsys, command):
+        def run(samples):
+            out = tmp_path / samples
+            assert main([command, "--samples", samples, "--window", "1000", "--seed", "3", "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            assert captured.out.startswith(f"{command}: fitted ")
+            return captured.err.splitlines()
+
+        assert run("20500") == [
+            f"eprsim: warning: {command} dropped 500 trailing samples (--samples not a multiple of --window)"
+        ]
+        assert run("20000") == []
+
 
 class TestEprSweep:
     def test_defaults_against_published_point(self, tmp_path):
@@ -211,6 +225,13 @@ class TestTomographyCommand:
         (line,) = run(fixed)
         assert line.startswith("eprsim: warning: ") and "phase-deficient" in line
 
+    def test_non_ascii_byte_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes("index,theta1,x1\n0,0.0,0.1\n1,0.5,0.2µ\n".encode("utf-8"))
+        rc = main(["tomography", "--input", str(bad), "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == "eprsim: data format error: line 3: non-ASCII byte 0xc2\n"
+
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("index,theta1,x1\n0,0.0,not-a-number\n")
@@ -311,6 +332,26 @@ class TestFitCommand:
         rc = main(["fit", "--kind", "single", "--trace", str(path), "--out", str(tmp_path)])
         assert rc == 2
         assert "evenly spaced" in capsys.readouterr().err
+
+    def test_non_ascii_byte_exit_code(self, tmp_path, capsys):
+        centers, variances = single_trace_rows()
+        path = write_single_trace(tmp_path / "trace.csv", centers, variances)
+        lines = path.read_text().splitlines()
+        lines[3] += "µ"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        rc = main(["fit", "--kind", "single", "--trace", str(path), "--out", str(tmp_path)])
+        assert rc == 3
+        assert "line 4: non-ASCII byte 0xc2" in capsys.readouterr().err
+
+    def test_fractional_count_names_line(self, tmp_path, capsys):
+        centers, variances = single_trace_rows()
+        path = write_single_trace(tmp_path / "trace.csv", centers, variances)
+        lines = path.read_text().splitlines()
+        lines[5] = lines[5].replace(",100", ",2.7")
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["fit", "--kind", "single", "--trace", str(path), "--out", str(tmp_path)])
+        assert rc == 3
+        assert "line 6: count must be a positive integer" in capsys.readouterr().err
 
     def test_non_finite_variance_names_line(self, tmp_path, capsys):
         centers, variances = single_trace_rows()
@@ -536,3 +577,16 @@ class TestModuleEntry:
         sweep = run("single-sweep", "--samples", "20000", "--window", "1000", "--seed", "3", "--out", str(out))
         assert sweep.returncode == 0, sweep.stderr
         assert read_json(out / "single_manifest.json")["subcommand"] == "single-sweep"
+
+    def test_import_loads_no_scipy_solver(self):
+        # scipy.optimize and scipy.special cost most of the import time, and
+        # design and tomography never call them
+        src = str(Path(eprsim.__file__).resolve().parents[1])
+        code = (
+            "import sys, eprsim, eprsim.cli\n"
+            "print(*sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.special'))))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "\n"

@@ -14,6 +14,7 @@ from eprsim.gaussian import (
     vacuum,
 )
 from eprsim.homodyne import (
+    _BLOCK_ROWS,
     PhaseSchedule,
     QuadratureDataset,
     SweepConfig,
@@ -257,3 +258,182 @@ class TestConfigValidation:
             QuadratureDataset(np.array([[0.0], [math.nan]]), np.zeros((2, 1)))
         with pytest.raises(ValueError):
             VarianceTrace(np.arange(3.0), np.zeros((3, 1)), np.array([0.5, math.inf, 0.5]), np.ones(3, dtype=int))
+
+
+def per_value_dataset_csv(data: QuadratureDataset) -> bytes:
+    """The dataset writer before block formatting: one f"{v:.17g}" per value."""
+    cols = ["index"]
+    for m in range(data.n_modes):
+        cols += [f"theta{m + 1}", f"x{m + 1}"]
+    lines = [",".join(cols)]
+    for i in range(data.n_samples):
+        row = [str(i)]
+        for m in range(data.n_modes):
+            row += [f"{data.thetas[i, m]:.17g}", f"{data.xs[i, m]:.17g}"]
+        lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def per_value_trace_csv(trace: VarianceTrace) -> bytes:
+    """The trace writer before block formatting."""
+    cols = ["bin_center_index", "theta1_center"] + (["theta2_center"] if trace.n_modes == 2 else [])
+    lines = [",".join(cols + ["variance", "count"])]
+    for i in range(trace.n_bins):
+        row = [f"{trace.bin_center_index[i]:.17g}"] + [f"{t:.17g}" for t in trace.theta_centers[i]]
+        lines.append(",".join(row + [f"{trace.variance[i]:.17g}", str(int(trace.count[i]))]))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def line_by_line_dataset(text: str):
+    """The dataset reader before bulk parsing: (thetas, xs), or the
+    (message, line) of the DataFormatError it raised."""
+    lines = text.splitlines()
+    if not lines:
+        return "empty dataset file", 1
+    header = lines[0].strip()
+    n_modes = {"index,theta1,x1": 1, "index,theta1,x1,theta2,x2": 2}.get(header)
+    if n_modes is None:
+        return f"unrecognized dataset header {header!r}", 1
+    rows, row_lines = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 1 + 2 * n_modes:
+            return f"expected {1 + 2 * n_modes} fields, got {len(parts)}", lineno
+        try:
+            rows.append([float(p) for p in parts[1:]])
+        except ValueError as exc:
+            return str(exc), lineno
+        row_lines.append(lineno)
+    if not rows:
+        return "dataset has no records", 2
+    data = np.array(rows)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        return "values must be finite", row_lines[int(np.argmin(finite))]
+    return data[:, 0::2], data[:, 1::2]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+SPECIAL_VALUES = [-0.0, 5e-324, 1e308, 1 / 3, -1e-300, 2.0**-1074 * 3, 123456789.0, -7.0]
+
+
+class TestBlockCsv:
+    def test_percent_format_matches_format_spec(self):
+        bits = np.random.default_rng(1).integers(0, 2**64, size=20_000, dtype=np.uint64)
+        values = [v for v in bits.view(float).tolist() if math.isfinite(v)] + SPECIAL_VALUES
+        assert ["%.17g" % v for v in values] == [f"{v:.17g}" for v in values]
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_dataset_bytes_and_round_trip(self, tmp_path, modes):
+        n = 2 * _BLOCK_ROWS + 7
+        rng = np.random.default_rng(modes)
+        thetas, xs = rng.normal(size=(n, modes)), rng.normal(scale=1e3, size=(n, modes))
+        specials = np.array(SPECIAL_VALUES)
+        thetas[_BLOCK_ROWS - 4 : _BLOCK_ROWS + 4, 0] = specials
+        xs[-len(specials) :, modes - 1] = specials[::-1]
+        data = QuadratureDataset(thetas, xs)
+        path = tmp_path / "data.csv"
+        data.to_csv(path)
+        assert path.read_bytes() == per_value_dataset_csv(data)
+        again = QuadratureDataset.from_csv(path)
+        assert same_bits(again.thetas, data.thetas) and same_bits(again.xs, data.xs)
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_trace_bytes_and_round_trip(self, tmp_path, modes):
+        data = sample(vacuum(modes), fixed_config(0.2, 10_000, seed=6, modes=modes))
+        trace = binned_variance(data, 100, "mode1")
+        trace = VarianceTrace(
+            trace.bin_center_index, trace.theta_centers + [[-0.0] * modes], trace.variance, trace.count
+        )
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        assert path.read_bytes() == per_value_trace_csv(trace)
+        again = VarianceTrace.from_csv(path)
+        for name in ("bin_center_index", "theta_centers", "variance", "count"):
+            assert same_bits(getattr(again, name), getattr(trace, name)), name
+
+
+def rows_with(*edits) -> str:
+    """A 1-mode dataset CSV past one write block, each (line, text) edit
+    replacing that file line."""
+    lines = ["index,theta1,x1"] + [f"{i},{0.001 * i:.17g},{math.sin(i):.17g}" for i in range(_BLOCK_ROWS + 20)]
+    for line, text in edits:
+        lines[line - 1] = text
+    return "\n".join(lines) + "\n"
+
+
+LATE = _BLOCK_ROWS + 9
+READER_CASES = {
+    "bad field past a block": rows_with((LATE, "7,0.5,oops")),
+    "field count past a block": rows_with((LATE, "7,0.5")),
+    "extra field past a block": rows_with((LATE, "7,0.5,0.1,0.2")),
+    "bad field before a short line": rows_with((6, "5,x,1"), (LATE, "7,0.5")),
+    "counts that cancel": "index,theta1,x1\n0,1\n1,2,3,4\n2,0.5,0.5\n",
+    "non-finite past a block": rows_with((LATE, "7,0.5,nan")),
+    "blank and whitespace lines": "index,theta1,x1\n\n0,0.1,0.2\n   \n\t\n1,0.3,0.4\n\n",
+    "non-finite after blanks": "index,theta1,x1\n\n0,0.1,0.2\n  \n1,inf,0.4\n",
+    "crlf": "index,theta1,x1\r\n0,0.1,0.2\r\n\r\n1,0.3,0.4\r\n",
+    "crlf bad field": "index,theta1,x1\r\n0,0.1,0.2\r\n\r\n1,0.3,bad\r\n",
+    "lone cr": "index,theta1,x1\r0,0.1,0.2\r1,0.3,x\r",
+    "junk index column": "index,theta1,x1\nabc,0.1,0.2\n,0.3,0.4\n",
+    "padded fields": "index,theta1,x1\n0, 0.1 ,0.2 \n",
+    "two modes": "index,theta1,x1,theta2,x2\n0,0.1,0.2,0.3,0.4\n1,0.1,0.2,0.3\n",
+    "header only": "index,theta1,x1\n",
+    "header and blanks": "index,theta1,x1\n\n  \n",
+    "empty file": "",
+    "bad header": "idx,theta,x\n0,0.0,0.1\n",
+}
+
+
+class TestBulkReader:
+    @pytest.mark.parametrize("case", list(READER_CASES))
+    def test_matches_line_by_line_reader(self, tmp_path, case):
+        text = READER_CASES[case]
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("ascii"))
+        expected = line_by_line_dataset(text)
+        if isinstance(expected[0], str):
+            with pytest.raises(DataFormatError) as err:
+                QuadratureDataset.from_csv(path)
+            assert (str(err.value), err.value.line) == (f"line {expected[1]}: {expected[0]}", expected[1])
+        else:
+            data = QuadratureDataset.from_csv(path)
+            assert same_bits(data.thetas, expected[0]) and same_bits(data.xs, expected[1])
+
+    @pytest.mark.parametrize("reader", [QuadratureDataset, VarianceTrace])
+    @pytest.mark.parametrize("body, line", [("0,0.1,0.2,1\n1,0.3,0.4µ\n", 3), ("\rµ0,0.1,0.2,1\n", 3), ("µ\n", 2)])
+    def test_non_ascii_byte_names_line(self, tmp_path, reader, body, line):
+        header = "index,theta1,x1" if reader is QuadratureDataset else "bin_center_index,theta1_center,variance,count"
+        path = tmp_path / "data.csv"
+        path.write_bytes(f"{header}\r\n{body}".encode("utf-8"))
+        with pytest.raises(DataFormatError) as err:
+            reader.from_csv(path)
+        assert (str(err.value), err.value.line) == (f"line {line}: non-ASCII byte 0xc2", line)
+
+
+class TestTraceCounts:
+    @pytest.mark.parametrize("count", [2.7, -3, 0, math.nan])
+    def test_constructor_rejects_non_positive_integer(self, count):
+        with pytest.raises(ValueError, match="counts must be positive integers"):
+            VarianceTrace(np.arange(3.0), np.zeros((3, 1)), np.full(3, 0.5), [100, count, 100])
+
+    def test_constructor_accepts_integral_floats(self):
+        trace = VarianceTrace(np.arange(2.0), np.zeros((2, 1)), np.full(2, 0.5), [100.0, 7.0])
+        assert trace.count.tolist() == [100, 7]
+        assert trace.count.dtype.kind == "i"
+
+    @pytest.mark.parametrize("count, shown", [("2.7", "2.7"), ("-3", "-3.0"), ("0", "0.0"), ("1e300", "1e+300")])
+    def test_from_csv_names_line(self, tmp_path, count, shown):
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            f"bin_center_index,theta1_center,variance,count\n50,0.0,0.5,100\n\n150,0.1,0.4,{count}\n"
+        )
+        with pytest.raises(DataFormatError) as err:
+            VarianceTrace.from_csv(path)
+        assert err.value.line == 4
+        assert str(err.value) == f"line 4: count must be a positive integer, got {shown}"

@@ -298,7 +298,7 @@ def _cmd_tomography(args) -> int:
     if not diagnostics.converged:
         caveats.append(f"stopped at --max-iterations {args.max_iterations} before converging")
     if diagnostics.phase_deficient:
-        caveats.append("phase-deficient dataset (a mode has fewer than 3 distinct LO phases)")
+        caveats.append("phase-deficient dataset (a mode has fewer than 3 distinct LO phases modulo π)")
     if caveats:
         print(f"eprsim: warning: tomography {'; '.join(caveats)}", file=sys.stderr)
     print(

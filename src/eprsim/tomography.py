@@ -14,6 +14,15 @@ after every step accepted at its first try, up to _DILUTION_CAP, and halves
 on a rejection.  The stop test is the plain one: a relative gain below
 stop_tol ends the run only on a step started at the configured dilution;
 a small gain of any other step resets d to it and tests again.
+
+Each projector factorises over the modes, Pi = |a><a| (x) |b><b|, and each
+factor is written in an orthonormal Hermitian basis of the
+(cutoff + 1)^2-dimensional space of one mode's matrices: D = (cutoff + 1)^2
+real features per record and mode (_ProjectorFeatures).  With r the real D x D
+coordinates of a candidate rho, the likelihoods are Tr(rho Pi_j) =
+phi_1(j)^T r phi_2(j), one real GEMM and a row-dot; R has the coordinates
+Phi_1^T diag(w) Phi_2, one real GEMM.  One mode reduces both to a matvec.
+Only the d x d matrices G, rho and R are complex.
 """
 
 from __future__ import annotations
@@ -30,6 +39,9 @@ from .homodyne import QuadratureDataset
 _LIKELIHOOD_FLOOR = 1e-300
 # d = 8 was always rejected where tried, so a higher cap only costs passes
 _DILUTION_CAP = 4.0
+_SQRT2 = math.sqrt(2.0)
+_SQRT_HALF = math.sqrt(0.5)
+_FEATURE_BLOCK = 16384  # records per block of _mode_features
 
 
 def quad_wavefunction(n: int, x) -> np.ndarray | float:
@@ -66,8 +78,9 @@ def projector_overlaps(theta: float, x: float, cutoff: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProjectorCache:
-    """Per-datum overlap vectors (tensor products for two modes), computed
-    once per dataset; everything downstream is matrix algebra against it."""
+    """Per-datum overlap vectors <n|theta, x> (tensor products for two modes),
+    so that Tr(rho Pi_j) = <o_j| rho |o_j>.  The complex reference form of
+    the projectors; reconstruct works on the real features of _ProjectorFeatures."""
 
     overlaps: np.ndarray  # (n_records, dim), complex
 
@@ -94,6 +107,96 @@ def build_projector_cache(data: QuadratureDataset, cutoff: int) -> ProjectorCach
             data.n_samples, (cutoff + 1) ** 2
         )
     return ProjectorCache(overlaps)
+
+
+def _hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal Hermitian basis of the n x n matrices, one flattened matrix
+    per row, in the column order of _mode_features: E_ii, then for each pair i < k
+    by increasing k - i, (E_ik + E_ki)/sqrt 2 and i (E_ik - E_ki)/sqrt 2."""
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    row = n
+    for shift in range(1, n):
+        for i in range(n - shift):
+            k = i + shift
+            basis[row, i, k] = basis[row, k, i] = _SQRT_HALF
+            basis[row + 1, i, k], basis[row + 1, k, i] = 1j * _SQRT_HALF, -1j * _SQRT_HALF
+            row += 2
+    return basis.reshape(n * n, n * n)
+
+
+def _mode_features(thetas: np.ndarray, xs: np.ndarray, cutoff: int) -> np.ndarray:
+    """Coordinates of each record's |theta, x><theta, x| in _hermitian_basis,
+    shape (M, (cutoff + 1)^2): psi_i^2, sqrt 2 psi_i psi_k cos((k - i) theta)
+    and -sqrt 2 psi_i psi_k sin((k - i) theta), written block by block into
+    one array so that the temporaries stay small."""
+    n = cutoff + 1
+    out = np.empty((len(xs), n * n))
+    for start in range(0, len(xs), _FEATURE_BLOCK):
+        rows = slice(start, start + _FEATURE_BLOCK)
+        block = out[rows]
+        psi = _wavefunction_table(cutoff, xs[rows])
+        for i in range(n):
+            np.square(psi[i], out=block[:, i])
+        column = n
+        for shift in range(1, n):
+            angle = shift * thetas[rows]
+            cos, neg_sin = np.cos(angle), -np.sin(angle)
+            for i in range(n - shift):
+                amplitude = _SQRT2 * psi[i] * psi[i + shift]
+                np.multiply(amplitude, cos, out=block[:, column])
+                np.multiply(amplitude, neg_sin, out=block[:, column + 1])
+                column += 2
+    return out
+
+
+class _ProjectorFeatures:
+    """A dataset's projectors in real coordinates: each mode's factor
+    |theta, x><theta, x| in _hermitian_basis, one (M, D) array per mode.
+    A Hermitian matrix H has the real coordinates Tr(B_mu [(x) B_nu] H): a
+    D-vector for one mode, a D x D matrix for two."""
+
+    def __init__(self, data: QuadratureDataset, cutoff: int):
+        self.n = cutoff + 1
+        self.basis = _hermitian_basis(self.n)
+        self.first = _mode_features(data.thetas[:, 0], data.xs[:, 0], cutoff)
+        self.second = None
+        self.scratch = None
+        if data.n_modes == 2:
+            self.second = _mode_features(data.thetas[:, 1], data.xs[:, 1], cutoff)
+            # one M x D temporary, shared by the likelihoods and R's weighted features
+            self.scratch = np.empty_like(self.first)
+
+    def likelihoods(self, rho: np.ndarray) -> np.ndarray:
+        """Tr(rho Pi_j) = phi_1(j)^T r phi_2(j), or phi(j)^T r for one mode."""
+        coords = self._coordinates(rho)
+        if self.second is None:
+            return self.first @ coords
+        np.matmul(self.first, coords, out=self.scratch)
+        return np.einsum("mk,mk->m", self.scratch, self.second)
+
+    def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
+        """sum_j w_j Pi_j, from its coordinates Phi_1^T diag(w) Phi_2, or Phi^T w."""
+        if self.second is None:
+            return self._from_coordinates(weights @ self.first)
+        np.multiply(self.second, weights[:, None], out=self.scratch)
+        return self._from_coordinates(self.first.T @ self.scratch)
+
+    def _coordinates(self, matrix: np.ndarray) -> np.ndarray:
+        conj = self.basis.conj()
+        if self.second is None:
+            return (conj @ matrix.reshape(-1)).real
+        n = self.n
+        # regroup H[(a, b), (c, d)] as y[(a, c), (b, d)], one mode per axis
+        y = matrix.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+        return (conj @ y @ conj.T).real
+
+    def _from_coordinates(self, coords: np.ndarray) -> np.ndarray:
+        n = self.n
+        if self.second is None:
+            return (coords @ self.basis).reshape(n, n)
+        y = self.basis.T @ coords @ self.basis
+        return y.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 @dataclass(frozen=True)
@@ -132,8 +235,12 @@ class TomographyDiagnostics:
 
 
 def _phase_deficient(data: QuadratureDataset) -> bool:
+    """Whether some mode has fewer than 3 distinct LO phases modulo pi:
+    |theta + pi, x> = |theta, -x>, so phases pi apart measure one axis."""
     for m in range(data.n_modes):
-        if len(np.unique(np.round(data.thetas[:, m], 9))) < 3:
+        folded = np.mod(data.thetas[:, m], math.pi)
+        folded[math.pi - folded < 1e-9] = 0.0
+        if len(np.unique(np.round(folded, 9))) < 3:
             return True
     return False
 
@@ -152,19 +259,14 @@ def reconstruct(
     """
     if data.n_samples == 0:
         raise ValueError("dataset is empty")
-    cache = build_projector_cache(data, config.cutoff)
-    overlaps = cache.overlaps
-    real_overlaps = overlaps.view(float)
-    m_records, dim = overlaps.shape
-    # one M x d temporary, shared by R's weighted overlaps and the likelihoods
-    scratch = np.empty_like(overlaps)
+    features = _ProjectorFeatures(data, config.cutoff)
+    m_records = data.n_samples
+    dim = (config.cutoff + 1) ** data.n_modes
     identity = np.eye(dim, dtype=complex)
     rho = identity / dim
 
     def checked_likelihoods(candidate: np.ndarray) -> np.ndarray:
-        # Tr(rho Pi_j) = Re <o_j| rho |o_j>, a real row-dot of o_j with rho o_j
-        np.matmul(overlaps, candidate.T, out=scratch)
-        p = np.einsum("mk,mk->m", real_overlaps, scratch.view(float))
+        p = features.likelihoods(candidate)
         if p.min() < _LIKELIHOOD_FLOOR:
             bad = int(np.argmin(p))
             raise IllConditionedDatumError(bad, float(p[bad]))
@@ -178,11 +280,7 @@ def reconstruct(
     step = config.dilution
 
     for _ in range(config.max_iterations):
-        weights = 1.0 / (m_records * p)
-        # R[a, b] = sum_j w_j o_j[a] conj(o_j[b]), the conjugate taken in scratch
-        np.multiply(overlaps, weights[:, None], out=scratch)
-        np.conjugate(scratch, out=scratch)
-        r_op = (scratch.T @ overlaps).conj()
+        r_op = features.weighted_sum(1.0 / (m_records * p))
         r_op = 0.5 * (r_op + r_op.conj().T)
 
         dilution = step

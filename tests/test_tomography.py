@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as integrate
 
+from eprsim import tomography
 from eprsim.errors import IllConditionedDatumError
 from eprsim.fock import fidelity, loss_fock, quad_covariance, tmsv_fock
 from eprsim.gaussian import PipelineConfig, epr_pipeline, loss, squeeze, vacuum
@@ -77,6 +78,36 @@ class TestProjectorOverlaps:
         left = projector_overlaps(0.3, 0.5, 3)
         right = projector_overlaps(1.1, -0.2, 3)
         np.testing.assert_allclose(row, np.kron(left, right), atol=1e-12)
+
+
+def _random_state(rng, dim):
+    # a random full-rank density matrix, mixed with the identity to keep it well conditioned
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return 0.5 * rho / np.trace(rho).real + 0.5 * np.eye(dim) / dim
+
+
+class TestProjectorFeatures:
+    """The real Hermitian-basis arithmetic of reconstruct against the complex overlaps."""
+
+    @pytest.mark.parametrize("n_modes", [1, 2])
+    @pytest.mark.parametrize("cutoff", [2, 3, 4, 5, 6])
+    def test_matches_complex_overlaps(self, n_modes, cutoff):
+        rng = np.random.default_rng(10 * cutoff + n_modes)
+        m = 300
+        data = QuadratureDataset(
+            thetas=rng.uniform(-8.0, 8.0, (m, n_modes)), xs=rng.uniform(-6.0, 6.0, (m, n_modes))
+        )
+        overlaps = build_projector_cache(data, cutoff).overlaps
+        features = tomography._ProjectorFeatures(data, cutoff)
+        for _ in range(3):
+            rho = _random_state(rng, overlaps.shape[1])
+            expected = np.einsum("md,de,me->m", overlaps.conj(), rho, overlaps).real
+            np.testing.assert_allclose(features.likelihoods(rho), expected, rtol=1e-10, atol=0.0)
+            weights = rng.uniform(0.1, 2.0, m)
+            expected_r = np.einsum("m,md,me->de", weights, overlaps, overlaps.conj())
+            error = np.linalg.norm(features.weighted_sum(weights) - expected_r)
+            assert error <= 1e-10 * np.linalg.norm(expected_r)
 
 
 def _two_mode_small():
@@ -212,6 +243,32 @@ class TestReconstruct:
         with pytest.raises(IllConditionedDatumError) as err:
             reconstruct(data, TomographyConfig(cutoff=4))
         assert err.value.index == 1
+
+    def test_ill_conditioned_datum_named_two_modes(self):
+        thetas = np.array([[0.0, 0.3], [0.5, 1.1], [1.0, 2.2], [1.5, 0.7]])
+        xs = np.array([[0.1, -0.3], [0.4, 0.2], [-0.2, 40.0], [0.3, 0.1]])
+        data = QuadratureDataset(thetas=thetas, xs=xs)
+        with pytest.raises(IllConditionedDatumError) as err:
+            reconstruct(data, TomographyConfig(cutoff=3))
+        assert err.value.index == 2
+
+    @pytest.mark.parametrize(
+        "phases, deficient",
+        [
+            ([k * math.pi for k in range(12)], True),  # an LO phase step of pi
+            ([0.0, 2 * math.pi, 4 * math.pi] * 4, True),
+            ([0.3, 0.3 + math.pi, 1.1, 1.1 - 3 * math.pi] * 3, True),
+            ([0.0, math.pi - 1e-12, 0.8, 2 * math.pi + 1e-12] * 3, True),
+            ([0.0, 1.0 + math.pi, 2.0 - 2 * math.pi] * 4, False),
+        ],
+    )
+    def test_phase_deficiency_counts_phases_modulo_pi(self, phases, deficient):
+        # |theta + pi, x> = |theta, -x>: phases pi apart measure one quadrature axis
+        rng = np.random.default_rng(58)
+        thetas = np.column_stack([np.linspace(0.0, 3.0, len(phases)), phases])
+        data = QuadratureDataset(thetas=thetas, xs=rng.normal(0.0, 0.7, thetas.shape))
+        _, diag = reconstruct(data, TomographyConfig(cutoff=3, max_iterations=3))
+        assert diag.phase_deficient == deficient
 
     def test_diagnostics_json_fields(self):
         data = sample(

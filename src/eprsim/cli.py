@@ -166,6 +166,13 @@ def _warn_dropped_samples(args) -> None:
         )
 
 
+def _warn_weak_fit(args, fit) -> None:
+    if fit.degenerate:
+        print(f"eprsim: warning: {args.command} fit is degenerate (oscillation below the noise)", file=sys.stderr)
+    elif not fit.converged:
+        print(f"eprsim: warning: {args.command} fit did not converge", file=sys.stderr)
+
+
 def _cmd_single_sweep(args) -> int:
     outdir = _resolve_outdir(args)
     if args.rate is None:
@@ -194,6 +201,7 @@ def _cmd_single_sweep(args) -> int:
 
     _write_manifest(args, outputs)
     _warn_dropped_samples(args)
+    _warn_weak_fit(args, fit)
     print(f"single-sweep: fitted zeta={fit.zeta:.4f} eta={fit.eta:.4f} -> {outdir}")
     return 0
 
@@ -246,6 +254,7 @@ def _cmd_epr_sweep(args) -> int:
 
     _write_manifest(args, outputs)
     _warn_dropped_samples(args)
+    _warn_weak_fit(args, fit)
     print(
         f"epr-sweep: fitted zeta={fit.zeta:.4f} eta={fit.eta:.4f}, "
         f"difference-trace min {trace_min:.4f} "
@@ -329,6 +338,7 @@ def _cmd_fit(args) -> int:
     fit_name = f"{args.prefix}_fit.json"
     _write_json(outdir / fit_name, result.to_json_dict())
     _write_manifest(args, [fit_name])
+    _warn_weak_fit(args, result)
     print(f"fit: zeta={result.zeta:.4f} eta={result.eta:.4f} -> {outdir / fit_name}")
     return 0
 

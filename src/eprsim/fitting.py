@@ -14,10 +14,11 @@ with sign -1 for the single mode (phase = 2 theta0, omega = 2 rate), the
 per-trace signs +1/-1 for the stacked sum/difference pair (phase = theta0,
 omega = rate) and +1 for the sinusoid.  The model is linear in (mid, amp)
 once the tone (omega, phase) is fixed, so it is fitted by variable
-projection (Golub & Pereyra 2003, Inverse Problems 19 R1): MINPACK
-Levenberg-Marquardt searches the two tone parameters only, from the
-dominant tone of the trace, with Kaufman's Jacobian (1975, BIT 15 49), and
-at every tone (mid, amp) is solved exactly.
+projection (Golub & Pereyra 2003, Inverse Problems 19 R1): a 2-parameter
+Levenberg-Marquardt search (`levenberg_marquardt`, numpy only) runs over the
+two tone parameters only, from the dominant tone of the trace, with
+Kaufman's Jacobian (1975, BIT 15 49), and at every tone (mid, amp) is
+solved exactly.
 
 For the squeezer models (mid, amp) is solved over the physical set eta in
 (0, 1], zeta >= 0, where mid = (eta cosh 2z + 1 - eta)/2 and amp =
@@ -43,14 +44,65 @@ from .homodyne import VarianceTrace
 
 _FLAT_TOL = 1e-9
 _SPACING_RTOL = 1e-9  # allowed deviation of a bin spacing from the mean spacing
+# first damping, relative to the scaled diagonal; Madsen, Nielsen & Tingleff (2004,
+# IMM DTU) advise 1e-6 when the start is close, as the FFT tone is
+_DAMPING_START = 1e-6
 
 
-def least_squares(*args, **kwargs):
-    """`scipy.optimize.least_squares`, imported on first call: importing
-    scipy.optimize costs ~0.4 s, which commands that fit nothing skip."""
-    from scipy.optimize import least_squares as scipy_least_squares
+def levenberg_marquardt(project, x0, *, ftol: float, xtol: float, gtol: float, max_nfev: int):
+    """Minimize |r(x)|^2 over two parameters x, where project(x) returns
+    (r, the Jacobian of r, anything else about x).
 
-    return scipy_least_squares(*args, **kwargs)
+    Levenberg-Marquardt (Marquardt 1963, SIAM J. Appl. Math. 11 431) on the
+    2x2 normal equations, scaled by the largest Jacobian column norms seen so
+    far as in MINPACK's lmder, with Nielsen's damping update (IMM-REP-1999-05,
+    DTU).  It stops on lmder's tests: the gradient is within gtol of
+    orthogonal to every Jacobian column, or the next step is within xtol of
+    |x| (both scaled) or is predicted to reduce |r|^2 by at most ftol of
+    itself.  lmder also takes that last step and asks its actual reduction to
+    be within ftol; at that size the actual reduction is rounding noise, so
+    the step is not projected.  Otherwise the search stops after max_nfev
+    projections.  Returns (x, project(x), converged), converged being False
+    only when the cap stopped the search.
+    """
+    x = tuple(float(v) for v in x0)
+    value = project(x)
+    nfev, mu, nu = 1, _DAMPING_START, 2.0
+    d0 = d1 = 0.0  # largest squared column norms so far
+    while True:
+        r, jac = value[0], value[1]
+        cost = float(r @ r)
+        (a, b), (_, c) = (jac.T @ jac).tolist()
+        g0, g1 = (jac.T @ r).tolist()
+        d0, d1 = max(d0, a), max(d1, c)
+        s0, s1 = d0 or 1.0, d1 or 1.0
+        # cosine of the angle between r and each nonzero Jacobian column
+        cosines = [abs(g) / math.sqrt(n * cost) for g, n in ((g0, a), (g1, c)) if n > 0.0 and cost > 0.0]
+        if max(cosines, default=0.0) <= gtol:
+            return x, value, True
+        while True:
+            p, q = a + mu * s0, c + mu * s1
+            det = p * q - b * b  # > 0 but for rounding while mu is tiny
+            if not det > 0.0:
+                mu, nu = mu * nu, nu * 2.0
+                continue
+            h0, h1 = (b * g1 - q * g0) / det, (b * g0 - p * g1) / det
+            step = s0 * h0 * h0 + s1 * h1 * h1
+            prered = (mu * step - g0 * h0 - g1 * h1) / cost
+            if prered <= ftol or step <= xtol * xtol * (s0 * x[0] * x[0] + s1 * x[1] * x[1]):
+                return x, value, True
+            if nfev >= max_nfev:
+                return x, value, False
+            trial = (x[0] + h0, x[1] + h1)
+            trial_value = project(trial)
+            nfev += 1
+            ratio = (1.0 - float(trial_value[0] @ trial_value[0]) / cost) / prered
+            if ratio > 1e-4:
+                x, value = trial, trial_value
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                nu = 2.0
+                break
+            mu, nu = mu * nu, nu * 2.0
 
 
 @dataclass(frozen=True)
@@ -179,33 +231,20 @@ def _fit_tone(grid: tuple, traces: list[np.ndarray], signs: tuple, physical: boo
             jac -= jac.mean(axis=0) + np.outer(centered, centered @ jac) / (centered @ centered)
         return mid + half_amp * shape - values, jac, (mid, 2.0 * half_amp, edge)
 
-    last = {}
-
-    def evaluate(x):
-        # MINPACK asks for the Jacobian at the point whose residual it just took
-        key = x.tobytes()
-        if key not in last:
-            last.clear()
-            last[key] = project(x)
-        return last[key]
-
-    result = least_squares(
-        lambda x: evaluate(x)[0],
-        np.array([omega0, phase0 - omega0 * offsets[0]]),
-        jac=lambda x: evaluate(x)[1],
-        method="lm",
+    x, (residual, _, (mid, amp, edge)), converged = levenberg_marquardt(
+        project,
+        (omega0, phase0 - omega0 * offsets[0]),
         xtol=1e-15,
         ftol=1e-15,
         gtol=1e-13,
         max_nfev=2000,
     )
-    residual, _, (mid, amp, edge) = evaluate(result.x)
-    omega, phase = result.x[0] / spacing, result.x[1] - result.x[0] * middle / spacing
+    omega, phase = x[0] / spacing, x[1] - x[0] * middle / spacing
     if omega < 0:
         omega, phase = -omega, -phase
     return _Tone(
         float(omega), float(phase % (2.0 * math.pi)), float(mid), float(amp),
-        float(residual @ residual), bool(result.status > 0), edge,
+        float(residual @ residual), converged, edge,
     )
 
 

@@ -10,7 +10,8 @@ import pytest
 
 import eprsim
 from eprsim.cli import main
-from eprsim.fitting import fit_sinusoid
+from eprsim import fitting
+from eprsim.fitting import fit_sinusoid, levenberg_marquardt
 from eprsim.gaussian import PipelineConfig, epr_pipeline, vacuum
 from eprsim.homodyne import PhaseSchedule, SweepConfig, VarianceTrace, sample
 
@@ -307,6 +308,30 @@ class TestFitCommand:
         assert rc == 0
         assert abs(read_json(tmp_path / "refit_fit.json")["zeta"] - 0.44) < 0.02
 
+    def test_warns_of_weak_fit(self, tmp_path, capsys, monkeypatch):
+        def run(*args):
+            assert main([*args, "--out", str(tmp_path)]) == 0
+            captured = capsys.readouterr()
+            assert captured.out.startswith(f"{args[0]}: ")
+            return captured.err
+
+        refit = ["fit", "--kind", "single", "--trace", str(tmp_path / "single_trace.csv"), "--prefix", "refit"]
+        assert run("single-sweep", "--seed", "12") == ""
+        assert run(*refit) == ""
+        degenerate = "fit is degenerate (oscillation below the noise)\n"
+        flat = ["single-sweep", "--zeta", "0", "--samples", "100000", "--seed", "4"]
+        assert run(*flat) == f"eprsim: warning: single-sweep {degenerate}"
+        assert run(*refit) == f"eprsim: warning: fit {degenerate}"
+        assert read_json(tmp_path / "refit_fit.json")["degenerate"] is True
+        # a tone search cut off by its evaluation cap
+        monkeypatch.setattr(
+            fitting, "levenberg_marquardt",
+            lambda project, x0, **options: levenberg_marquardt(project, x0, **{**options, "max_nfev": 2}),
+        )
+        capped = run("epr-sweep", "--samples", "40000", "--window", "1000")
+        assert capped == "eprsim: warning: epr-sweep fit did not converge\n"
+        assert read_json(tmp_path / "epr_fit.json")["converged"] is False
+
     def test_single_kind_needs_trace(self, tmp_path):
         assert main(["fit", "--kind", "single", "--out", str(tmp_path)]) == 2
 
@@ -578,15 +603,31 @@ class TestModuleEntry:
         assert sweep.returncode == 0, sweep.stderr
         assert read_json(out / "single_manifest.json")["subcommand"] == "single-sweep"
 
-    def test_import_loads_no_scipy_solver(self):
-        # scipy.optimize and scipy.special cost most of the import time, and
-        # design and tomography never call them
+    def test_import_loads_no_scipy_solver(self, tmp_path):
+        # scipy.optimize and scipy.special cost most of the import time: the
+        # import loads neither, and no command needs scipy.optimize
         src = str(Path(eprsim.__file__).resolve().parents[1])
-        code = (
-            "import sys, eprsim, eprsim.cli\n"
-            "print(*sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.special'))))"
-        )
         env = {**os.environ, "PYTHONPATH": src}
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == "\n"
+        env.pop("EPRSIM_OUTDIR", None)
+
+        def loaded(prefixes, *argv):
+            """The modules starting with `prefixes` loaded by a child process
+            that imports the CLI and runs it on `argv`, if any."""
+            code = "import sys, eprsim, eprsim.cli\n"
+            if argv:
+                code += f"assert eprsim.cli.main({list(argv)!r}) == 0\n"
+            code += f"print(*sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
+            result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            return result.stdout.splitlines()[-1].split()
+
+        assert loaded(("scipy.optimize", "scipy.special")) == []
+        out = str(tmp_path)
+        sweep = ["--samples", "20000", "--window", "1000", "--out", out]
+        assert loaded(("scipy.optimize",), "single-sweep", *sweep) == []
+        assert main(["epr-sweep", *sweep]) == 0
+        traces = [
+            "--trace-sum", str(tmp_path / "epr_sum_trace.csv"),
+            "--trace-diff", str(tmp_path / "epr_difference_trace.csv"),
+        ]
+        assert loaded(("scipy.optimize",), "fit", "--kind", "epr", *traces, "--out", out) == []

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy.optimize import least_squares
 
 from eprsim import fitting
 from eprsim.errors import IllPosedFitError
-from eprsim.fitting import FitResult, fit_epr, fit_single, fit_sinusoid, squeezing_db
+from eprsim.fitting import FitResult, fit_epr, fit_single, fit_sinusoid, levenberg_marquardt, squeezing_db
 from eprsim.gaussian import (
     PipelineConfig,
     epr_pipeline,
@@ -73,14 +73,41 @@ def round_trip_errors(fit, zeta, eta, theta0, rate, period):
 
 
 def planted_tone(n, theta0, rate, phase_scale):
-    """Stand-in optimizer that stops the tone search at the given phase
-    schedule and reports success; phase_scale is 2 for the single-mode model
-    (it oscillates with 2 theta) and 1 for the sum/difference pair."""
+    """Stand-in for `fitting.levenberg_marquardt` that stops the tone search
+    at the given phase schedule and reports convergence; phase_scale is 2 for
+    the single-mode model (it oscillates with 2 theta) and 1 for the
+    sum/difference pair."""
     _, middle, spacing = fitting._bin_offsets(n)
     omega, phase = phase_scale * rate, phase_scale * theta0
     # the search runs over (omega per bin, phase at the middle bin center)
-    x = np.array([omega * spacing, phase + omega * middle])
-    return lambda fun, x0, jac, **options: OptimizeResult(x=x, status=1)
+    x = (omega * spacing, phase + omega * middle)
+    return lambda project, x0, **options: (x, project(x), True)
+
+
+def scipy_search(project, x0, *, ftol, xtol, gtol, max_nfev):
+    """`fitting.levenberg_marquardt` done by scipy's MINPACK Levenberg-Marquardt
+    with the same settings: the reference the in-house search is held to."""
+    last = {}
+
+    def evaluate(x):
+        # MINPACK asks for the Jacobian at the point whose residual it just took
+        key = np.asarray(x, dtype=float).tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = project(x)
+        return last[key]
+
+    result = least_squares(
+        lambda x: evaluate(x)[0],
+        np.asarray(x0, dtype=float),
+        jac=lambda x: evaluate(x)[1],
+        method="lm",
+        ftol=ftol,
+        xtol=xtol,
+        gtol=gtol,
+        max_nfev=max_nfev,
+    )
+    return result.x, evaluate(result.x), bool(result.status > 0)
 
 
 # case 11 of the seed-23 single-mode sweep, and the phase schedule at which
@@ -211,7 +238,8 @@ class TestFitSingle:
         # at a fixed phase (zeta, eta) is the exact constrained optimum, so the
         # phase that once left eta on its bound yields the interior optimum
         trace = synthetic_single_trace(*CASE_11)
-        monkeypatch.setattr(fitting, "least_squares", planted_tone(trace.bin_center_index, *CASE_11_STUCK_PHASE, 2.0))
+        planted = planted_tone(trace.bin_center_index, *CASE_11_STUCK_PHASE, 2.0)
+        monkeypatch.setattr(fitting, "levenberg_marquardt", planted)
         fit = fit_single(trace)
         assert fit.zeta == pytest.approx(CASE_11[0], abs=1e-3)
         assert fit.eta == pytest.approx(CASE_11[1], abs=1e-3)
@@ -300,7 +328,8 @@ class TestFitEpr:
 
     def test_stuck_phase_interior_optimum(self, monkeypatch):
         t_sum, t_diff = synthetic_epr_traces(*CASE_11)
-        monkeypatch.setattr(fitting, "least_squares", planted_tone(t_sum.bin_center_index, *CASE_11_STUCK_PHASE, 1.0))
+        planted = planted_tone(t_sum.bin_center_index, *CASE_11_STUCK_PHASE, 1.0)
+        monkeypatch.setattr(fitting, "levenberg_marquardt", planted)
         fit = fit_epr(t_sum, t_diff)
         assert fit.zeta == pytest.approx(CASE_11[0], abs=1e-3)
         assert fit.eta == pytest.approx(CASE_11[1], abs=1e-3)
@@ -339,3 +368,124 @@ class TestFitSinusoid:
         payload = result.to_json_dict()
         assert payload["zeta"] == 0.4
         assert payload["degenerate"] is False
+
+
+TONE_SEARCH = {"ftol": 1e-15, "xtol": 1e-15, "gtol": 1e-13, "max_nfev": 2000}  # as `_fit_tone` runs it
+
+
+def sampled_fit_jobs(seed, count, records=40_000, window=400):
+    """Fits of seeded sampled traces, alternately single-mode and EPR, over
+    zeta in [0.1, 1], eta in [0.3, 1] and spans of 1.1-4 trace periods."""
+    rng = np.random.default_rng(seed)
+    jobs = []
+    for i in range(count):
+        zeta, eta, theta0 = rng.uniform(0.1, 1.0), rng.uniform(0.3, 1.0), rng.uniform(0, 2 * math.pi)
+        periods = rng.uniform(1.1, 4.0)
+        if i % 2 == 0:
+            phases = (PhaseSchedule(theta0, periods * math.pi / records),)
+            state = loss(squeeze(vacuum(1), 0, zeta), 0, eta)
+            data = sample(state, SweepConfig(phases=phases, n_samples=records, seed=i))
+            trace = binned_variance(data, window, "mode1")
+            jobs.append(lambda trace=trace: fit_single(trace))
+        else:
+            phases = (PhaseSchedule(theta0, periods * 2 * math.pi / records), PhaseSchedule(0.0, 0.0))
+            state = epr_pipeline(PipelineConfig(zeta=zeta, eta=eta))
+            data = sample(state, SweepConfig(phases=phases, n_samples=records, seed=i))
+            traces = (binned_variance(data, window, "sum"), binned_variance(data, window, "difference"))
+            jobs.append(lambda traces=traces: fit_epr(*traces))
+    return jobs
+
+
+def wrong_basin_jobs(kind):
+    """Fits of the noiseless wrong-basin sweep cases of `kind`."""
+    if kind == "single":
+        return [
+            lambda c=c: fit_single(synthetic_single_trace(*c[:3], c[3] * math.pi / SYNTHETIC_SPAN))
+            for c in sweep_cases(41, 300)
+        ]
+    return [
+        lambda c=c: fit_epr(*synthetic_epr_traces(*c[:3], c[3] * 2.0 * math.pi / SYNTHETIC_SPAN))
+        for c in sweep_cases(47, 300)
+    ]
+
+
+def run_fits(monkeypatch, search, jobs):
+    """The outcome of each job with `search` as the tone search (the fit, or
+    the message it raised), and the projections each made."""
+    linear_optimum, projections = fitting._linear_optimum, [0]
+
+    def counted(*args):
+        projections[0] += 1  # one exact (mid, amp) solve per projection
+        return linear_optimum(*args)
+
+    monkeypatch.setattr(fitting, "_linear_optimum", counted)
+    monkeypatch.setattr(fitting, "levenberg_marquardt", search)
+    outcomes, counts = [], []
+    for job in jobs:
+        projections[0] = 0
+        try:
+            outcomes.append(job())
+        except IllPosedFitError as exc:
+            outcomes.append(str(exc))
+        counts.append(projections[0])
+    monkeypatch.undo()
+    return outcomes, counts
+
+
+def assert_same_fits(monkeypatch, jobs):
+    """The in-house search gives scipy's fits with no more projections."""
+    own, own_projections = run_fits(monkeypatch, levenberg_marquardt, jobs)
+    ref, ref_projections = run_fits(monkeypatch, scipy_search, jobs)
+    for fit, expected in zip(own, ref):
+        if isinstance(expected, str):
+            assert fit == expected
+            continue
+        assert fit.zeta == pytest.approx(expected.zeta, abs=1e-7)
+        assert fit.eta == pytest.approx(expected.eta, abs=1e-7)
+        # a noiseless trace ends at a rounding-level rss near 1e-27
+        assert fit.rss == pytest.approx(expected.rss, rel=1e-9, abs=1e-24)
+        assert (fit.converged, fit.degenerate) == (expected.converged, expected.degenerate)
+    assert np.mean(own_projections) <= np.mean(ref_projections)
+
+
+def rosenbrock(x):
+    r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    return r, np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]), None
+
+
+class TestLevenbergMarquardt:
+    def test_matches_scipy_on_sampled_traces(self, monkeypatch):
+        assert_same_fits(monkeypatch, sampled_fit_jobs(61, 60))
+
+    @pytest.mark.parametrize("kind", ["single", "epr"])
+    def test_matches_scipy_on_wrong_basin_cases(self, monkeypatch, kind):
+        assert_same_fits(monkeypatch, wrong_basin_jobs(kind))
+
+    def test_zero_jacobian_returns(self):
+        r = np.array([1.0, -2.0, 0.5])
+        zero = np.zeros((3, 2))
+        x, value, converged = levenberg_marquardt(lambda x: (r, zero, None), (0.3, 0.1), **TONE_SEARCH)
+        assert x == (0.3, 0.1)
+        assert value[0] is r
+        assert converged
+
+    def test_singular_jacobian_reaches_minimum(self):
+        u, y = np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 2.0])
+        jac = np.outer(u, [1.0, 2.0])
+        project = lambda x: (jac @ x - y, jac, None)
+        _, (r, _, _), converged = levenberg_marquardt(project, (0.0, 0.0), **TONE_SEARCH)
+        assert converged
+        assert r @ r == pytest.approx(y @ y - (u @ y) ** 2 / (u @ u), rel=1e-12)
+
+    def test_cap_reports_not_converged(self, monkeypatch):
+        _, _, converged = levenberg_marquardt(rosenbrock, (-1.2, 1.0), **{**TONE_SEARCH, "max_nfev": 5})
+        assert not converged
+        x, _, converged = levenberg_marquardt(rosenbrock, (-1.2, 1.0), **TONE_SEARCH)
+        assert converged
+        assert x == pytest.approx((1.0, 1.0), abs=1e-9)
+        # a fit whose tone search hit the cap says so
+        capped = lambda project, x0, **options: levenberg_marquardt(project, x0, **{**options, "max_nfev": 2})
+        monkeypatch.setattr(fitting, "levenberg_marquardt", capped)
+        fit = fit_single(synthetic_single_trace(0.44, 0.52, 0.3, 5e-5))
+        assert not fit.converged
+        assert not fit.degenerate

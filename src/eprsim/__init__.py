@@ -54,10 +54,8 @@ from .homodyne import (
     sample,
 )
 from .tomography import (
-    ProjectorCache,
     TomographyConfig,
     TomographyDiagnostics,
-    projector_overlaps,
     quad_wavefunction,
     reconstruct,
 )

@@ -105,8 +105,6 @@ def _write_json(path: Path, payload: dict) -> None:
 # Replayed in ``argv`` but not parameters: the seed has its own manifest field
 # and the output directory is wherever the replay is asked to write.
 _ARGV_ONLY = ("seed", "out")
-# Accepted but recorded nowhere: this implementation is always serial.
-_UNRECORDED = ("serial",)
 
 
 def _replay(args) -> tuple[dict, list[str]]:
@@ -130,7 +128,7 @@ def _replay(args) -> tuple[dict, list[str]]:
         parser = sub.choices[name]
     for action in parser._actions:
         value = getattr(args, action.dest, None)
-        if value is None or action.dest in _UNRECORDED:
+        if value is None:
             continue
         if action.dest not in _ARGV_ONLY:
             parameters[action.dest] = value
@@ -381,11 +379,6 @@ def _cmd_design(args) -> int:
 def _add_common_output_options(parser, default_prefix: str) -> None:
     parser.add_argument("--out", help=f"output directory (default: ${OUTDIR_ENV} or '.')")
     parser.add_argument("--prefix", default=default_prefix, help="output file prefix")
-    parser.add_argument(
-        "--serial",
-        action="store_true",
-        help="force the serial reference mode (this implementation is always serial)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -296,11 +296,11 @@ def sample(state: GaussianState, config: SweepConfig) -> QuadratureDataset:
     rng = np.random.Generator(np.random.PCG64(config.seed))
     z = _standard_normals(rng, (config.n_samples, state.n_modes))
     cov = state.cov
-    if state.n_modes == 1:
-        var = c[:, 0] ** 2 * cov[0, 0] + 2 * c[:, 0] * s[:, 0] * cov[0, 1] + s[:, 0] ** 2 * cov[1, 1]
-        xs = np.sqrt(var) * z[:, 0]
-        return QuadratureDataset(thetas, xs[:, None])
     s11 = c[:, 0] ** 2 * cov[0, 0] + 2 * c[:, 0] * s[:, 0] * cov[0, 1] + s[:, 0] ** 2 * cov[1, 1]
+    l11 = np.sqrt(s11)
+    x1 = l11 * z[:, 0]
+    if state.n_modes == 1:
+        return QuadratureDataset(thetas, x1[:, None])
     s22 = c[:, 1] ** 2 * cov[2, 2] + 2 * c[:, 1] * s[:, 1] * cov[2, 3] + s[:, 1] ** 2 * cov[3, 3]
     s12 = (
         c[:, 0] * c[:, 1] * cov[0, 2]
@@ -308,10 +308,8 @@ def sample(state: GaussianState, config: SweepConfig) -> QuadratureDataset:
         + s[:, 0] * c[:, 1] * cov[1, 2]
         + s[:, 0] * s[:, 1] * cov[1, 3]
     )
-    l11 = np.sqrt(s11)
     l21 = s12 / l11
     l22 = np.sqrt(np.clip(s22 - l21**2, 0.0, None))
-    x1 = l11 * z[:, 0]
     x2 = l21 * z[:, 0] + l22 * z[:, 1]
     return QuadratureDataset(thetas, np.column_stack([x1, x2]))
 

@@ -68,47 +68,6 @@ def _wavefunction_table(n_max: int, x: np.ndarray) -> np.ndarray:
     return table
 
 
-def projector_overlaps(theta: float, x: float, cutoff: int) -> np.ndarray:
-    """Overlap vector <n|theta, x> = e^{i n theta} psi_n(x), n = 0..cutoff."""
-    if cutoff < 2:
-        raise ValueError("cutoff must be >= 2")
-    psi = _wavefunction_table(cutoff, np.atleast_1d(float(x)))[:, 0]
-    return np.exp(1j * theta * np.arange(cutoff + 1)) * psi
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectorCache:
-    """Per-datum overlap vectors <n|theta, x> (tensor products for two modes),
-    so that Tr(rho Pi_j) = <o_j| rho |o_j>.  The complex reference form of
-    the projectors; reconstruct works on the real features of _ProjectorFeatures."""
-
-    overlaps: np.ndarray  # (n_records, dim), complex
-
-    @property
-    def n_records(self) -> int:
-        return self.overlaps.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.overlaps.shape[1]
-
-
-def build_projector_cache(data: QuadratureDataset, cutoff: int) -> ProjectorCache:
-    per_mode = []
-    ns = np.arange(cutoff + 1)
-    for m in range(data.n_modes):
-        psi = _wavefunction_table(cutoff, data.xs[:, m])  # (N+1, M)
-        phases = np.exp(1j * np.outer(data.thetas[:, m], ns))  # (M, N+1)
-        per_mode.append(phases * psi.T)
-    if data.n_modes == 1:
-        overlaps = per_mode[0]
-    else:
-        overlaps = np.einsum("ma,mb->mab", per_mode[0], per_mode[1]).reshape(
-            data.n_samples, (cutoff + 1) ** 2
-        )
-    return ProjectorCache(overlaps)
-
-
 def _hermitian_basis(n: int) -> np.ndarray:
     """Orthonormal Hermitian basis of the n x n matrices, one flattened matrix
     per row, in the column order of _mode_features: E_ii, then for each pair i < k

@@ -470,11 +470,13 @@ class TestCliPlumbing:
         assert main(["--version"]) == 0
         assert "eprsim" in capsys.readouterr().out
 
-    def test_serial_flag_accepted(self, tmp_path):
+    def test_serial_flag_rejected(self, tmp_path, capsys):
         rc = main(
             ["single-sweep", "--samples", "40000", "--seed", "2", "--serial", "--out", str(tmp_path)]
         )
-        assert rc == 0
+        assert rc == 2
+        assert "unrecognized arguments: --serial" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 SMALL_SWEEP = ["--samples", "20000", "--window", "1000", "--seed", "5"]

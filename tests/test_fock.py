@@ -7,6 +7,8 @@ from scipy.linalg import expm
 from eprsim.errors import UnsupportedStateError
 from eprsim.fock import (
     FockDensityMatrix,
+    _single_mode_family,
+    _two_mode_family,
     destroy,
     fidelity,
     gaussian_to_fock,
@@ -228,6 +230,19 @@ class TestGaussianToFock:
             rho, _ = gaussian_to_fock(state, 10)
             np.testing.assert_allclose(quad_covariance(rho), state.cov, atol=1e-3)
 
+    def test_report_of_pure_states(self):
+        # pure states put the largest discarded population on the first
+        # level above the cutoff that they occupy: |6> and |44>
+        zeta = 0.6
+        _, report = gaussian_to_fock(squeeze(vacuum(1), 0, zeta), 5, tail_tol=1.0)
+        populations = squeezed_vacuum_fock(zeta, 13, tail_tol=1.0).matrix.diagonal().real
+        assert report.largest_discarded_population == pytest.approx(populations[6], rel=1e-12)
+        assert report.trace_deficit == pytest.approx(1.0 - populations[:6].sum(), rel=1e-9)
+        lam2 = math.tanh(zeta) ** 2
+        _, report = gaussian_to_fock(epr_pipeline(PipelineConfig(zeta=zeta)), 3, tail_tol=1.0)
+        assert report.largest_discarded_population == pytest.approx((1 - lam2) * lam2**4, rel=1e-12)
+        assert report.trace_deficit == pytest.approx(lam2**4, rel=1e-9)
+
     def test_thermal_mode_unsupported(self):
         # a reduced pipeline mode is thermal: not squeezed vacuum + loss
         from eprsim.gaussian import reduce_modes
@@ -241,6 +256,39 @@ class TestGaussianToFock:
         state = epr_pipeline(PipelineConfig(zeta=0.44, relative_phase=0.0))
         with pytest.raises(UnsupportedStateError):
             gaussian_to_fock(state, 6)
+
+
+def _family_draws(seed):
+    """200 (zeta, eta) pairs, the last 10 with eta at or just below 1, and
+    the generator for further draws."""
+    rng = np.random.default_rng(seed)
+    zetas = rng.uniform(0.01, 1.5, 200)
+    etas = np.concatenate([rng.uniform(0.01, 1.0, 190), 1.0 - np.logspace(-12, -3, 7), [1.0] * 3])
+    return zetas, etas, rng
+
+
+class TestFamilyRecovery:
+    """The recovered family parameters rebuild the state's covariance."""
+
+    def test_single_mode(self):
+        zetas, etas, rng = _family_draws(71)
+        worst = 0.0
+        for zeta, eta, angle in zip(zetas, etas, rng.uniform(-math.pi, math.pi, len(zetas))):
+            state = loss(squeeze(vacuum(1), 0, zeta, angle), 0, eta)
+            z, e, a = _single_mode_family(state.cov)
+            rebuilt = loss(squeeze(vacuum(1), 0, z, a), 0, e)
+            worst = max(worst, np.max(np.abs(rebuilt.cov - state.cov)))
+        assert worst <= 1e-12
+
+    def test_two_mode(self):
+        zetas, etas, _ = _family_draws(72)
+        worst = 0.0
+        for zeta, eta in zip(zetas, etas):
+            state = epr_pipeline(PipelineConfig(zeta=zeta, eta=eta))
+            z, e = _two_mode_family(state.cov)
+            rebuilt = epr_pipeline(PipelineConfig(zeta=z, eta=e))
+            worst = max(worst, np.max(np.abs(rebuilt.cov - state.cov)))
+        assert worst <= 1e-12
 
 
 class TestRotateFock:

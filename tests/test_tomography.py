@@ -9,13 +9,27 @@ from eprsim.errors import IllConditionedDatumError
 from eprsim.fock import fidelity, loss_fock, quad_covariance, tmsv_fock
 from eprsim.gaussian import PipelineConfig, epr_pipeline, loss, squeeze, vacuum
 from eprsim.homodyne import PhaseSchedule, QuadratureDataset, SweepConfig, sample
-from eprsim.tomography import (
-    TomographyConfig,
-    build_projector_cache,
-    projector_overlaps,
-    quad_wavefunction,
-    reconstruct,
-)
+from eprsim.tomography import TomographyConfig, quad_wavefunction, reconstruct
+
+
+def projector_overlaps(theta: float, x: float, cutoff: int) -> np.ndarray:
+    """Overlap vector <n|theta, x> = e^{i n theta} psi_n(x), n = 0..cutoff."""
+    psi = tomography._wavefunction_table(cutoff, np.atleast_1d(float(x)))[:, 0]
+    return np.exp(1j * theta * np.arange(cutoff + 1)) * psi
+
+
+def complex_overlaps(data: QuadratureDataset, cutoff: int) -> np.ndarray:
+    """Per-record overlap vectors o_j = <n|theta, x> (Kronecker products for two
+    modes), shape (M, dim), so that Tr(rho Pi_j) = <o_j| rho |o_j>: the complex
+    reference form of the projectors that reconstruct holds as real features."""
+    ns = np.arange(cutoff + 1)
+    per_mode = [
+        np.exp(1j * np.outer(data.thetas[:, m], ns)) * tomography._wavefunction_table(cutoff, data.xs[:, m]).T
+        for m in range(data.n_modes)
+    ]
+    if data.n_modes == 1:
+        return per_mode[0]
+    return np.einsum("ma,mb->mab", *per_mode).reshape(data.n_samples, -1)
 
 
 class TestQuadWavefunction:
@@ -73,8 +87,7 @@ class TestProjectorOverlaps:
         data = QuadratureDataset(
             thetas=np.array([[0.3, 1.1]]), xs=np.array([[0.5, -0.2]])
         )
-        cache = build_projector_cache(data, 3)
-        row = cache.overlaps[0]
+        row = complex_overlaps(data, 3)[0]
         left = projector_overlaps(0.3, 0.5, 3)
         right = projector_overlaps(1.1, -0.2, 3)
         np.testing.assert_allclose(row, np.kron(left, right), atol=1e-12)
@@ -90,15 +103,18 @@ def _random_state(rng, dim):
 class TestProjectorFeatures:
     """The real Hermitian-basis arithmetic of reconstruct against the complex overlaps."""
 
-    @pytest.mark.parametrize("n_modes", [1, 2])
-    @pytest.mark.parametrize("cutoff", [2, 3, 4, 5, 6])
-    def test_matches_complex_overlaps(self, n_modes, cutoff):
+    @pytest.mark.parametrize(
+        "cutoff, n_modes, m",
+        [pytest.param(c, n, 300, id=f"{c}-{n}") for c in (2, 3, 4, 5, 6) for n in (1, 2)]
+        # crosses the 16384-record _FEATURE_BLOCK boundary of _mode_features
+        + [pytest.param(3, 2, 16_500, id="3-2-16500")],
+    )
+    def test_matches_complex_overlaps(self, cutoff, n_modes, m):
         rng = np.random.default_rng(10 * cutoff + n_modes)
-        m = 300
         data = QuadratureDataset(
             thetas=rng.uniform(-8.0, 8.0, (m, n_modes)), xs=rng.uniform(-6.0, 6.0, (m, n_modes))
         )
-        overlaps = build_projector_cache(data, cutoff).overlaps
+        overlaps = complex_overlaps(data, cutoff)
         features = tomography._ProjectorFeatures(data, cutoff)
         for _ in range(3):
             rho = _random_state(rng, overlaps.shape[1])
@@ -227,7 +243,7 @@ class TestReconstruct:
         full, config = _two_mode_small()
         data = QuadratureDataset(thetas=full.thetas[:6000], xs=full.xs[:6000])
         rho, diag = reconstruct(data, config)
-        overlaps = build_projector_cache(data, config.cutoff).overlaps
+        overlaps = complex_overlaps(data, config.cutoff)
         p = np.einsum("md,md->m", overlaps.conj() @ rho.matrix, overlaps).real
         assert diag.loglik == pytest.approx(float(np.sum(np.log(p))), rel=1e-12)
 

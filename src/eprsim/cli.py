@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,39 +46,32 @@ from .tomography import TomographyConfig, reconstruct
 OUTDIR_ENV = "EPRSIM_OUTDIR"
 
 
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+def _number(convert, rule: str = "", ok=lambda value: True):
+    """An argparse type: ``convert`` the text and require a finite value that
+    satisfies ``ok``, else report "must be <rule>, got <text>".
+
+    It keeps ``convert``'s name, so text ``convert`` rejects is still
+    reported as e.g. "invalid float value".
+    """
+
+    def parse(text: str):
+        value = convert(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _unit_interval(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
+_finite_float = _number(float)
+_nonneg_float = _number(float, ">= 0", lambda value: value >= 0)
+_positive_float = _number(float, "> 0", lambda value: value > 0)
+_unit_interval = _number(float, "in [0, 1]", lambda value: 0.0 <= value <= 1.0)
+_nonneg_int = _number(int, ">= 0", lambda value: value >= 0)
+_positive_int = _number(int, ">= 1", lambda value: value >= 1)
 
 
 def _length(text: str) -> float:
@@ -85,17 +79,6 @@ def _length(text: str) -> float:
         return parse_length(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _resolve_outdir(args) -> Path:
-    """The output directory: ``--out``, else ``$EPRSIM_OUTDIR``, else '.'.
-
-    The resolved directory is stored back as ``args.out``, so the manifest
-    replays into the directory the run actually wrote.
-    """
-    out = args.out if args.out is not None else os.environ.get(OUTDIR_ENV) or "."
-    args.out = str(Path(out))
-    return Path(out)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -141,7 +124,18 @@ def _replay(args) -> tuple[dict, list[str]]:
     return parameters, argv
 
 
-def _write_manifest(args, outputs: list[str]) -> None:
+def _write_outputs(args, files: dict) -> Path:
+    """Write ``files``, an ordered ``{name: writer}``, and the manifest.
+
+    The output directory is ``--out``, else ``$EPRSIM_OUTDIR``, else '.'.
+    It is stored back as ``args.out``, so the manifest replays into the
+    directory the run actually wrote.  Each writer takes the file's path.
+    """
+    outdir = Path(args.out if args.out is not None else os.environ.get(OUTDIR_ENV) or ".")
+    args.out = str(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, write in files.items():
+        write(outdir / name)
     parameters, argv = _replay(args)
     manifest = {
         "tool": "eprsim",
@@ -149,19 +143,20 @@ def _write_manifest(args, outputs: list[str]) -> None:
         "subcommand": args.command,
         "parameters": parameters,
         "seed": getattr(args, "seed", None),
-        "outputs": outputs,
+        "outputs": list(files),
         "argv": argv,
     }
-    _write_json(Path(args.out) / f"{args.prefix}_manifest.json", manifest)
+    _write_json(outdir / f"{args.prefix}_manifest.json", manifest)
+    return outdir
 
 
-def _warn_dropped_samples(args) -> None:
-    if dropped := args.samples % args.window:
-        print(
-            f"eprsim: warning: {args.command} dropped {dropped} trailing samples "
-            "(--samples not a multiple of --window)",
-            file=sys.stderr,
-        )
+def _sweep_config(args, *held_phases: float) -> SweepConfig:
+    """Mode 1 swept from ``--theta0`` at ``--rate`` (default: 4π over
+    ``--samples``), each further mode held at its phase."""
+    if args.rate is None:
+        args.rate = 4.0 * math.pi / args.samples
+    phases = (PhaseSchedule(args.theta0, args.rate), *(PhaseSchedule(theta, 0.0) for theta in held_phases))
+    return SweepConfig(phases=phases, n_samples=args.samples, seed=args.seed)
 
 
 def _warn_weak_fit(args, fit) -> None:
@@ -171,54 +166,44 @@ def _warn_weak_fit(args, fit) -> None:
         print(f"eprsim: warning: {args.command} fit did not converge", file=sys.stderr)
 
 
+def _write_sweep(args, dataset, traces: dict, fit, fit_payload: dict) -> Path:
+    """Write a sweep's optional dataset, its ``{name: trace}`` and its fit,
+    then warn of dropped trailing samples and of a weak fit."""
+    files = {f"{args.prefix}_data.csv": dataset.to_csv} if args.write_dataset else {}
+    files |= {name: trace.to_csv for name, trace in traces.items()}
+    files[f"{args.prefix}_fit.json"] = partial(_write_json, payload=fit_payload)
+    outdir = _write_outputs(args, files)
+    if dropped := args.samples % args.window:
+        print(
+            f"eprsim: warning: {args.command} dropped {dropped} trailing samples "
+            "(--samples not a multiple of --window)",
+            file=sys.stderr,
+        )
+    _warn_weak_fit(args, fit)
+    return outdir
+
+
 def _cmd_single_sweep(args) -> int:
-    outdir = _resolve_outdir(args)
-    if args.rate is None:
-        args.rate = 4.0 * math.pi / args.samples
-    config = SweepConfig(
-        phases=(PhaseSchedule(args.theta0, args.rate),), n_samples=args.samples, seed=args.seed
-    )
+    config = _sweep_config(args)
     state = loss(squeeze(vacuum(1), 0, args.zeta), 0, args.eta)
 
     dataset = sample(state, config)
     trace = binned_variance(dataset, args.window, "mode1")
     fit = fit_single(trace)
 
-    outdir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    if args.write_dataset:
-        name = f"{args.prefix}_data.csv"
-        dataset.to_csv(outdir / name)
-        outputs.append(name)
-    trace_name = f"{args.prefix}_trace.csv"
-    trace.to_csv(outdir / trace_name)
-    outputs.append(trace_name)
-    fit_name = f"{args.prefix}_fit.json"
-    _write_json(outdir / fit_name, fit.to_json_dict())
-    outputs.append(fit_name)
-
-    _write_manifest(args, outputs)
-    _warn_dropped_samples(args)
-    _warn_weak_fit(args, fit)
+    outdir = _write_sweep(args, dataset, {f"{args.prefix}_trace.csv": trace}, fit, fit.to_json_dict())
     print(f"single-sweep: fitted zeta={fit.zeta:.4f} eta={fit.eta:.4f} -> {outdir}")
     return 0
 
 
 def _cmd_epr_sweep(args) -> int:
-    outdir = _resolve_outdir(args)
-    if args.rate is None:
-        args.rate = 4.0 * math.pi / args.samples
     pipeline = PipelineConfig(
         zeta=args.zeta,
         relative_phase=args.relative_phase,
         eta=args.eta,
         mismatch=args.mismatch,
     )
-    config = SweepConfig(
-        phases=(PhaseSchedule(args.theta0, args.rate), PhaseSchedule(args.theta2, 0.0)),
-        n_samples=args.samples,
-        seed=args.seed,
-    )
+    config = _sweep_config(args, args.theta2)
     state = epr_pipeline(pipeline)
 
     dataset = sample(state, config)
@@ -228,31 +213,17 @@ def _cmd_epr_sweep(args) -> int:
     }
     fit = fit_epr(traces["sum"], traces["difference"])
 
-    outdir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    if args.write_dataset:
-        name = f"{args.prefix}_data.csv"
-        dataset.to_csv(outdir / name)
-        outputs.append(name)
-    for target, trace in traces.items():
-        name = f"{args.prefix}_{target}_trace.csv"
-        trace.to_csv(outdir / name)
-        outputs.append(name)
-
     trace_min = float(traces["difference"].variance.min())
     model_min = float(epr_variance(fit.zeta, fit.eta, 0.0, "minus"))
-    fit_payload = fit.to_json_dict()
-    fit_payload["trace_min_difference_variance"] = trace_min
-    fit_payload["squeezing_db_at_trace_min"] = squeezing_db(trace_min)
-    fit_payload["model_min_difference_variance"] = model_min
-    fit_payload["squeezing_db_at_model_min"] = squeezing_db(model_min)
-    fit_name = f"{args.prefix}_fit.json"
-    _write_json(outdir / fit_name, fit_payload)
-    outputs.append(fit_name)
-
-    _write_manifest(args, outputs)
-    _warn_dropped_samples(args)
-    _warn_weak_fit(args, fit)
+    fit_payload = {
+        **fit.to_json_dict(),
+        "trace_min_difference_variance": trace_min,
+        "squeezing_db_at_trace_min": squeezing_db(trace_min),
+        "model_min_difference_variance": model_min,
+        "squeezing_db_at_model_min": squeezing_db(model_min),
+    }
+    named = {f"{args.prefix}_{target}_trace.csv": trace for target, trace in traces.items()}
+    outdir = _write_sweep(args, dataset, named, fit, fit_payload)
     print(
         f"epr-sweep: fitted zeta={fit.zeta:.4f} eta={fit.eta:.4f}, "
         f"difference-trace min {trace_min:.4f} "
@@ -262,7 +233,6 @@ def _cmd_epr_sweep(args) -> int:
 
 
 def _cmd_tomography(args) -> int:
-    outdir = _resolve_outdir(args)
     config = TomographyConfig(
         cutoff=args.cutoff,
         max_iterations=args.max_iterations,
@@ -270,8 +240,7 @@ def _cmd_tomography(args) -> int:
         dilution=args.dilution,
     )
     if (args.ref_zeta is None) != (args.ref_eta is None):
-        print("eprsim: --ref-zeta and --ref-eta must be given together", file=sys.stderr)
-        return 2
+        raise ValueError("--ref-zeta and --ref-eta must be given together")
     dataset = QuadratureDataset.from_csv(args.input)
     reference = None
     if args.ref_zeta is not None:
@@ -295,12 +264,8 @@ def _cmd_tomography(args) -> int:
             "mean_photon": [mean_photon(reference, m) for m in range(2)],
         }
     payloads = {"state": state.to_json_dict(), "diagnostics": diagnostics.to_json_dict(), "summary": summary}
-    outdir.mkdir(parents=True, exist_ok=True)
-    outputs = [f"{args.prefix}_{kind}.json" for kind in payloads]
-    for name, payload in zip(outputs, payloads.values()):
-        _write_json(outdir / name, payload)
-
-    _write_manifest(args, outputs)
+    files = {f"{args.prefix}_{kind}.json": partial(_write_json, payload=payload) for kind, payload in payloads.items()}
+    outdir = _write_outputs(args, files)
     caveats = []
     if not diagnostics.converged:
         caveats.append(f"stopped at --max-iterations {args.max_iterations} before converging")
@@ -318,24 +283,19 @@ def _cmd_tomography(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    outdir = _resolve_outdir(args)
     if args.kind == "single":
         if args.trace is None:
-            print("eprsim: fit --kind single needs --trace", file=sys.stderr)
-            return 2
+            raise ValueError("fit --kind single needs --trace")
         result = fit_single(VarianceTrace.from_csv(args.trace))
     else:
         if args.trace_sum is None or args.trace_diff is None:
-            print("eprsim: fit --kind epr needs --trace-sum and --trace-diff", file=sys.stderr)
-            return 2
+            raise ValueError("fit --kind epr needs --trace-sum and --trace-diff")
         result = fit_epr(
             VarianceTrace.from_csv(args.trace_sum), VarianceTrace.from_csv(args.trace_diff)
         )
 
-    outdir.mkdir(parents=True, exist_ok=True)
     fit_name = f"{args.prefix}_fit.json"
-    _write_json(outdir / fit_name, result.to_json_dict())
-    _write_manifest(args, [fit_name])
+    outdir = _write_outputs(args, {fit_name: partial(_write_json, payload=result.to_json_dict())})
     _warn_weak_fit(args, result)
     print(f"fit: zeta={result.zeta:.4f} eta={result.eta:.4f} -> {outdir / fit_name}")
     return 0
@@ -365,14 +325,10 @@ def _design_rows(args) -> list[dict]:
 
 
 def _cmd_design(args) -> int:
-    text = json.dumps(_design_rows(args), indent=2)
-    print(text)
+    rows = _design_rows(args)
+    print(json.dumps(rows, indent=2))
     if args.out is not None or os.environ.get(OUTDIR_ENV):
-        outdir = _resolve_outdir(args)
-        outdir.mkdir(parents=True, exist_ok=True)
-        name = f"{args.prefix}_design.json"
-        (outdir / name).write_bytes((text + "\n").encode("ascii"))
-        _write_manifest(args, [name])
+        _write_outputs(args, {f"{args.prefix}_design.json": partial(_write_json, payload=rows)})
     return 0
 
 
@@ -394,8 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=_nonneg_float, default=0.44, help="squeezing parameter")
     p.add_argument("--eta", type=_unit_interval, default=0.52, help="detection transmissivity")
     p.add_argument("--samples", type=_positive_int, default=200_000)
-    p.add_argument("--theta0", type=float, default=0.0, help="LO phase at sample 0 (rad)")
-    p.add_argument("--rate", type=float, default=None, help="LO phase rate (rad/sample); default spans 2 periods")
+    p.add_argument("--theta0", type=_finite_float, default=0.0, help="LO phase at sample 0 (rad)")
+    p.add_argument(
+        "--rate", type=_finite_float, default=None, help="LO phase rate (rad/sample); default spans 2 periods"
+    )
     p.add_argument("--window", type=_positive_int, default=2000, help="samples per variance bin")
     p.add_argument("--seed", type=_nonneg_int, default=1)
     p.add_argument("--write-dataset", action="store_true", help="also write the raw samples CSV")
@@ -405,12 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("epr-sweep", help="sample the entangled pipeline output under a swept LO phase")
     p.add_argument("--zeta", type=_nonneg_float, default=0.44)
     p.add_argument("--eta", type=_unit_interval, default=0.50)
-    p.add_argument("--relative-phase", type=float, default=math.pi / 2, help="phase between the squeezed vacua (rad)")
+    p.add_argument(
+        "--relative-phase", type=_finite_float, default=math.pi / 2, help="phase between the squeezed vacua (rad)"
+    )
     p.add_argument("--mismatch", type=_unit_interval, default=0.0, help="interference-imperfection admixture")
     p.add_argument("--samples", type=_positive_int, default=200_000)
-    p.add_argument("--theta0", type=float, default=0.0, help="mode-1 LO phase at sample 0 (rad)")
-    p.add_argument("--theta2", type=float, default=0.0, help="fixed mode-2 LO phase (rad)")
-    p.add_argument("--rate", type=float, default=None, help="mode-1 LO phase rate (rad/sample)")
+    p.add_argument("--theta0", type=_finite_float, default=0.0, help="mode-1 LO phase at sample 0 (rad)")
+    p.add_argument("--theta2", type=_finite_float, default=0.0, help="fixed mode-2 LO phase (rad)")
+    p.add_argument("--rate", type=_finite_float, default=None, help="mode-1 LO phase rate (rad/sample)")
     p.add_argument("--window", type=_positive_int, default=2000)
     p.add_argument("--seed", type=_nonneg_int, default=1)
     p.add_argument("--write-dataset", action="store_true")
@@ -455,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-signal", type=_positive_float, help="signal group velocity (fraction of c)")
     p = quantities.add_parser("compensation", help="compensator length for a walk-off delay")
     p.add_argument("--delay", type=_length, required=True, help="delay to compensate (e.g. 0.58mm)")
-    p.add_argument("--dn-group", type=float, required=True, help="group-index difference of the compensator")
+    p.add_argument("--dn-group", type=_finite_float, required=True, help="group-index difference of the compensator")
     for p in quantities.choices.values():
         _add_common_output_options(p, "design")
         p.set_defaults(handler=_cmd_design)

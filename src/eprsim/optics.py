@@ -30,14 +30,20 @@ _LENGTH_RE = re.compile(r"^\s*([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\s*([a-z
 
 
 def parse_length(text: str) -> float:
-    """Parse a length like '12.4um', '390nm' or '0.001' (bare = meters)."""
+    """Parse a length like '12.4um', '390nm' or '0.001' (bare = meters).
+
+    Raises ValueError on an unknown unit or a value that overflows to inf.
+    """
     match = _LENGTH_RE.match(text)
     if not match:
         raise ValueError(f"cannot parse length {text!r}")
     value, unit = match.groups()
     if unit and unit not in _LENGTH_UNITS:
         raise ValueError(f"unknown length unit {unit!r} in {text!r}")
-    return float(value) * (_LENGTH_UNITS[unit] if unit else 1.0)
+    length = float(value) * (_LENGTH_UNITS[unit] if unit else 1.0)
+    if not math.isfinite(length):
+        raise ValueError(f"length {text!r} is not finite")
+    return length
 
 
 def rayleigh_range(w0: float, wavelength: float) -> float:

@@ -171,8 +171,8 @@ class TomographyConfig:
             raise ValueError("cutoff must be >= 2")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.stop_tol <= 0:
-            raise ValueError("stop_tol must be > 0")
+        if not 0.0 < self.stop_tol < math.inf:
+            raise ValueError("stop_tol must be > 0 and finite")
         if not 0.0 < self.dilution <= 1.0:
             raise ValueError("dilution must be in (0, 1]")
 

@@ -1,15 +1,17 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import eprsim
-from eprsim.cli import main
+from eprsim.cli import build_parser, main
 from eprsim import fitting
 from eprsim.fitting import fit_sinusoid, levenberg_marquardt
 from eprsim.gaussian import PipelineConfig, epr_pipeline, vacuum
@@ -261,9 +263,14 @@ class TestTomographyCommand:
         assert "reference comparison needs a 2-mode dataset" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_missing_reference_flag_pair(self, tmp_path):
-        rc = main(["tomography", "--input", "x.csv", "--ref-zeta", "0.4", "--out", str(tmp_path)])
+    def test_missing_reference_flag_pair(self, tmp_path, capsys):
+        out = tmp_path / "untouched"
+        rc = main(["tomography", "--input", "x.csv", "--ref-zeta", "0.4", "--out", str(out)])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            "eprsim: invalid parameters: --ref-zeta and --ref-eta must be given together\n"
+        )
+        assert not out.exists()
 
 
 class TestFitCommand:
@@ -332,8 +339,11 @@ class TestFitCommand:
         assert capped == "eprsim: warning: epr-sweep fit did not converge\n"
         assert read_json(tmp_path / "epr_fit.json")["converged"] is False
 
-    def test_single_kind_needs_trace(self, tmp_path):
-        assert main(["fit", "--kind", "single", "--out", str(tmp_path)]) == 2
+    def test_single_kind_needs_trace(self, tmp_path, capsys):
+        out = tmp_path / "untouched"
+        assert main(["fit", "--kind", "single", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "eprsim: invalid parameters: fit --kind single needs --trace\n"
+        assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # six bins cannot support the four-parameter fit
@@ -470,6 +480,31 @@ class TestCliPlumbing:
         assert main(["--version"]) == 0
         assert "eprsim" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["tomography", "--input", "x.csv", "--stop-tol", "inf"], "--stop-tol"),
+            (["tomography", "--input", "x.csv", "--stop-tol", "nan"], "--stop-tol"),
+            (["tomography", "--input", "x.csv", "--ref-zeta", "nan", "--ref-eta", "0.5"], "--ref-zeta"),
+            (["design", "compensation", "--delay", "0.58mm", "--dn-group", "nan"], "--dn-group"),
+            (["design", "rayleigh", "--w0", "1e999um", "--wavelength", "390nm"], "--w0"),
+            (["single-sweep", "--theta0", "nan"], "--theta0"),
+        ],
+        ids=["stop-tol-inf", "stop-tol-nan", "ref-zeta-nan", "dn-group-nan", "w0-overflow", "theta0-nan"],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "untouched"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and "finite" in err
+        assert not out.exists()
+
+    def test_unparsable_number_names_its_type(self, capsys):
+        assert main(["tomography", "--input", "x.csv", "--stop-tol", "tight"]) == 2
+        assert "argument --stop-tol: invalid float value: 'tight'" in capsys.readouterr().err
+        assert main(["single-sweep", "--samples", "2.5"]) == 2
+        assert "argument --samples: invalid int value: '2.5'" in capsys.readouterr().err
+
     def test_serial_flag_rejected(self, tmp_path, capsys):
         rc = main(
             ["single-sweep", "--samples", "40000", "--seed", "2", "--serial", "--out", str(tmp_path)]
@@ -540,6 +575,21 @@ PINNED_PARAMETERS = {
     },
 }
 
+# The manifest ``outputs`` of each case, in the order they are written.
+PINNED_OUTPUTS = {
+    "single-sweep": ["single_data.csv", "single_trace.csv", "single_fit.json"],
+    "epr-sweep": [
+        "epr_data.csv", "epr_mode1_trace.csv", "epr_mode2_trace.csv", "epr_sum_trace.csv",
+        "epr_difference_trace.csv", "epr_fit.json",
+    ],
+    "tomography": ["tomo_state.json", "tomo_diagnostics.json", "tomo_summary.json"],
+    "tomography-reference": ["tomo_state.json", "tomo_diagnostics.json", "tomo_summary.json"],
+    "fit-single": ["fit_fit.json"],
+    "fit-epr": ["fit_fit.json"],
+    "design-walkoff": ["design_design.json"],
+    "design-radius": ["design_design.json"],
+}
+
 
 @pytest.fixture(scope="module")
 def replay_inputs(tmp_path_factory):
@@ -583,6 +633,32 @@ class TestManifest:
             for key, value in PINNED_PARAMETERS[case].items()
         }
         assert list(parameters.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+    def test_outputs_pinned(self, tmp_path, replay_inputs, case):
+        outputs = run_case(case, replay_inputs, tmp_path)["outputs"]
+        assert outputs == PINNED_OUTPUTS[case]
+        written = [path.name for path in tmp_path.iterdir() if not path.name.endswith("_manifest.json")]
+        assert sorted(written) == sorted(outputs)
+
+
+def readme_commands() -> list[list[str]]:
+    """The ``eprsim ...`` commands of README's "Command line" section, each
+    split into words, continuation lines joined and comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```")[1::2]
+    lines = "\n".join(block.split("\n", 1)[1] for block in blocks).replace("\\\n", " ")
+    return [words for words in map(partial(shlex.split, comments=True), lines.splitlines()) if words]
+
+
+class TestReadme:
+    def test_command_line_examples_parse(self):
+        commands = readme_commands()
+        assert {words[1] for words in commands} == {"single-sweep", "epr-sweep", "tomography", "fit", "design"}
+        for words in commands:
+            assert words[0] == "eprsim"
+            build_parser().parse_args(words[1:])
 
 
 class TestModuleEntry:

@@ -137,3 +137,8 @@ class TestParseLength:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_length("twelve microns")
+
+    @pytest.mark.parametrize("text", ["1e999um", "-1e999m"])
+    def test_rejects_overflow(self, text):
+        with pytest.raises(ValueError, match="not finite"):
+            parse_length(text)

@@ -300,8 +300,10 @@ class TestTomographyConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             TomographyConfig(cutoff=1)
-        with pytest.raises(ValueError):
-            TomographyConfig(stop_tol=0.0)
+        # inf would stop after one step reporting convergence; nan would never converge
+        for stop_tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="stop_tol"):
+                TomographyConfig(stop_tol=stop_tol)
         with pytest.raises(ValueError):
             TomographyConfig(dilution=0.0)
         with pytest.raises(ValueError):

@@ -82,7 +82,11 @@ def _length(text: str) -> float:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_bytes((json.dumps(payload, indent=2) + "\n").encode("ascii"))
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:  # a NaN or an infinity in the payload
+        raise FloatingPointError(f"{path.name}: {exc}") from None
+    path.write_bytes((text + "\n").encode("ascii"))
 
 
 # Replayed in ``argv`` but not parameters: the seed has its own manifest field
@@ -325,7 +329,12 @@ def _design_rows(args) -> list[dict]:
 
 
 def _cmd_design(args) -> int:
-    rows = _design_rows(args)
+    try:
+        rows = _design_rows(args)
+    except ArithmeticError as exc:
+        raise FloatingPointError(f"design {args.quantity}: {type(exc).__name__} in an intermediate result") from None
+    if overflowed := [f"{row['quantity']} = {row['value']}" for row in rows if not math.isfinite(row["value"])]:
+        raise FloatingPointError(f"design {args.quantity}: {', '.join(overflowed)}")
     print(json.dumps(rows, indent=2))
     if args.out is not None or os.environ.get(OUTDIR_ENV):
         _write_outputs(args, {f"{args.prefix}_design.json": partial(_write_json, payload=rows)})
@@ -438,6 +447,7 @@ def main(argv=None) -> int:
         IllConditionedDatumError,
         UnsupportedStateError,
         np.linalg.LinAlgError,
+        FloatingPointError,
     ) as exc:
         print(f"eprsim: numerical failure: {exc}", file=sys.stderr)
         return 4

@@ -5,6 +5,11 @@ Density matrices are stored over the basis |n1> (one mode) or |n1 n2>
 0..cutoff per mode.  The phase convention makes squeezed-vacuum amplitudes
 real with alternating sign, which squeezes x for zeta > 0; this matches the
 theta = 0 convention of the covariance module.
+
+Per-mode operations act on the mode's own row and column axes of the matrix
+viewed as a tensor with one row and one column axis per mode.  Loss of
+transmissivity eta is the beam-splitter photon-loss channel of homodyne
+tomography, rho'_mn = sum_k sqrt(C(m+k,k) C(n+k,k)) eta^((m+n)/2) (1-eta)^k rho_{m+k,n+k}.
 """
 
 from __future__ import annotations
@@ -112,16 +117,18 @@ def destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
 
 
-def number_operator(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
+def _mode_axes(rho: FockDensityMatrix, mode: int):
+    """``rho.matrix`` viewed with one row and one column axis per mode,
+    `mode`'s two axes last, and the inverse map back to a matrix."""
+    if not 0 <= mode < rho.n_modes:
+        raise ValueError(f"mode {mode} out of range")
+    axes = (mode, rho.n_modes + mode)
+    tensor = rho.matrix.reshape((rho.cutoff + 1,) * 2 * rho.n_modes)
 
+    def to_matrix(t: np.ndarray) -> np.ndarray:
+        return np.moveaxis(t, (-2, -1), axes).reshape(rho.dim, rho.dim)
 
-def _lift(op: np.ndarray, mode: int, n_modes: int) -> np.ndarray:
-    """Embed a single-mode operator into the 1- or 2-mode product space."""
-    if n_modes == 1:
-        return op
-    eye = np.eye(op.shape[0], dtype=complex)
-    return np.kron(op, eye) if mode == 0 else np.kron(eye, op)
+    return np.moveaxis(tensor, axes, (-2, -1)), to_matrix
 
 
 def _squeezed_amplitudes(zeta: float, cutoff: int) -> np.ndarray:
@@ -161,33 +168,19 @@ def tmsv_fock(zeta: float, cutoff: int, tail_tol: float = 1e-3) -> FockDensityMa
     return FockDensityMatrix(2, cutoff, np.outer(vec, vec).astype(complex), tail_tol)
 
 
-def _loss_kraus(dim: int, eta: float) -> list[np.ndarray]:
-    """Photon-loss Kraus operators A_k = sum_n sqrt(C(n,k) eta^(n-k) (1-eta)^k)
-    |n-k><n|; the set is exactly trace-preserving on the truncated space."""
-    ops = []
-    ns = np.arange(dim)
-    for k in range(dim):
-        coeff = np.zeros(dim)
-        for n in range(k, dim):
-            coeff[n] = math.sqrt(
-                math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k
-            )
-        ops.append(np.diag(coeff[k:], k).astype(complex) if k else np.diag(coeff).astype(complex))
-    return ops
-
-
 def loss_fock(rho: FockDensityMatrix, mode: int, eta: float) -> FockDensityMatrix:
-    """Apply a loss channel of transmissivity eta to one mode."""
+    """Apply a loss channel of transmissivity eta to one mode: the Kraus sum of
+    A_k = sum_m sqrt(C(m,k) eta^(m-k) (1-eta)^k) |m-k><m|, trace-preserving
+    on the truncated space, applied to the mode's axes in k order."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmissivity must be in [0, 1], got {eta}")
-    if not 0 <= mode < rho.n_modes:
-        raise ValueError(f"mode {mode} out of range")
+    t, to_matrix = _mode_axes(rho, mode)
     dim = rho.cutoff + 1
-    out = np.zeros_like(rho.matrix)
-    for a in _loss_kraus(dim, eta):
-        full = _lift(a, mode, rho.n_modes)
-        out += full @ rho.matrix @ full.conj().T
-    return FockDensityMatrix(rho.n_modes, rho.cutoff, out, rho.tail_tol)
+    out = np.zeros_like(t)
+    for k in range(dim):
+        a = np.array([math.sqrt(math.comb(m, k) * eta ** (m - k) * (1.0 - eta) ** k) for m in range(k, dim)])
+        out[..., : dim - k, : dim - k] += (a[:, None] * t[..., k:, k:]) * a
+    return FockDensityMatrix(rho.n_modes, rho.cutoff, to_matrix(out), rho.tail_tol)
 
 
 def rotate_fock(rho: FockDensityMatrix, mode: int, phi: float) -> FockDensityMatrix:
@@ -195,20 +188,16 @@ def rotate_fock(rho: FockDensityMatrix, mode: int, phi: float) -> FockDensityMat
 
     Matches the covariance-module convention V'(theta) = V(theta - phi).
     """
-    if not 0 <= mode < rho.n_modes:
-        raise ValueError(f"mode {mode} out of range")
-    dim = rho.cutoff + 1
-    phases = np.exp(1j * phi * np.arange(dim))
-    u = _lift(np.diag(phases), mode, rho.n_modes)
-    return FockDensityMatrix(rho.n_modes, rho.cutoff, u @ rho.matrix @ u.conj().T, rho.tail_tol)
+    t, to_matrix = _mode_axes(rho, mode)
+    phases = np.exp(1j * phi * np.arange(rho.cutoff + 1))
+    rotated = (phases[:, None] * t) * phases.conj()
+    return FockDensityMatrix(rho.n_modes, rho.cutoff, to_matrix(rotated), rho.tail_tol)
 
 
 def mean_photon(rho: FockDensityMatrix, mode: int) -> float:
-    """Tr(rho n_mode)."""
-    if not 0 <= mode < rho.n_modes:
-        raise ValueError(f"mode {mode} out of range")
-    n_op = _lift(number_operator(rho.cutoff + 1), mode, rho.n_modes)
-    return float(np.trace(rho.matrix @ n_op).real)
+    """Tr(rho n_mode), with n_mode applied to the mode's column axis."""
+    t, to_matrix = _mode_axes(rho, mode)
+    return float(np.trace(to_matrix(t * np.arange(rho.cutoff + 1))).real)
 
 
 def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -240,8 +229,8 @@ def quad_covariance(rho: FockDensityMatrix) -> np.ndarray:
     p = (a - a.conj().T) / (1j * math.sqrt(2.0))
     quads = []
     for mode in range(rho.n_modes):
-        quads.append(_lift(x, mode, rho.n_modes))
-        quads.append(_lift(p, mode, rho.n_modes))
+        before, after = np.eye(dim**mode), np.eye(dim ** (rho.n_modes - 1 - mode))
+        quads += [np.kron(np.kron(before, op), after) for op in (x, p)]
     size = 2 * rho.n_modes
     cov = np.zeros((size, size))
     for i in range(size):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import eprsim
-from eprsim.cli import build_parser, main
+from eprsim.cli import _write_json, build_parser, main
 from eprsim import fitting
 from eprsim.fitting import fit_sinusoid, levenberg_marquardt
 from eprsim.gaussian import PipelineConfig, epr_pipeline, vacuum
@@ -455,6 +455,30 @@ class TestDesignCommand:
         rows = read_json(tmp_path / "design_design.json")
         assert rows[0]["quantity"] == "walkoff_path"
         assert (tmp_path / "design_manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compensation", "--delay", "1e300m", "--dn-group", "1e-300"],
+            ["walkoff", "--length", "1e308m", "--v-pump", "1e-10", "--v-signal", "1"],
+            ["radius", "--z", "1m", "--w0", "1e-200m", "--wavelength", "1m"],
+            ["radius", "--z", "1m", "--w0", "1e-100m", "--wavelength", "1m"],
+        ],
+        ids=["compensation-overflow", "walkoff-overflow", "radius-rayleigh-underflow", "radius-overflow"],
+    )
+    def test_non_finite_result_is_numerical_failure(self, tmp_path, capsys, argv):
+        out = tmp_path / "untouched"
+        assert main(["design", *argv, "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"eprsim: numerical failure: design {argv[0]}: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_json_writer_refuses_non_finite_values(self, tmp_path):
+        with pytest.raises(FloatingPointError, match="rows.json"):
+            _write_json(tmp_path / "rows.json", {"value": math.inf})
+        assert not (tmp_path / "rows.json").exists()
 
 
 class TestCliPlumbing:

@@ -37,6 +37,27 @@ def two_mode_squeeze_oracle(zeta, dim):
     return expm(gen) @ np.eye(dim * dim)[:, 0]
 
 
+def lift_oracle(op, mode):
+    """A single-mode operator embedded in the 2-mode product space."""
+    eye = np.eye(op.shape[0], dtype=complex)
+    return np.kron(op, eye) if mode == 0 else np.kron(eye, op)
+
+
+def loss_oracle(rho, mode, eta):
+    """Sum over photon numbers k of 2-mode lifted Kraus operators
+    A_k = sum_m sqrt(C(m,k) eta^(m-k) (1-eta)^k) |m-k><m|, in k order, as a
+    state (whose constructor symmetrizes the sum)."""
+    dim = rho.cutoff + 1
+    out = np.zeros_like(rho.matrix)
+    for k in range(dim):
+        a = np.zeros((dim, dim), dtype=complex)
+        for m in range(k, dim):
+            a[m - k, m] = math.sqrt(math.comb(m, k) * eta ** (m - k) * (1.0 - eta) ** k)
+        full = lift_oracle(a, mode)
+        out += full @ rho.matrix @ full.conj().T
+    return FockDensityMatrix(rho.n_modes, rho.cutoff, out, rho.tail_tol)
+
+
 def lossy_tmsv(zeta, eta, cutoff):
     rho = tmsv_fock(zeta, cutoff)
     rho = loss_fock(rho, 0, eta)
@@ -137,6 +158,41 @@ class TestLossFock:
     def test_eta_validated(self):
         with pytest.raises(ValueError):
             loss_fock(tmsv_fock(0.3, 4), 0, -0.1)
+
+
+class TestModeAsymmetricOracle:
+    """Per-mode operations on a state that changes under mode exchange, so a
+    swapped mode axis cannot pass; each is checked against the same operation
+    on kron-lifted full-space operators."""
+
+    @pytest.fixture(scope="class")
+    def rho(self):
+        # lossy TMSV coherences change both photon numbers alike, so the
+        # squeezed-vacuum-times-vacuum half is what tells a rotation's mode
+        lossy = rotate_fock(loss_fock(tmsv_fock(0.5, 5), 0, 0.3), 0, 0.7)
+        ground = np.zeros((6, 6))
+        ground[0, 0] = 1.0
+        product = np.kron(rotate_fock(squeezed_vacuum_fock(0.3, 5), 0, 0.4).matrix, ground)
+        rho = FockDensityMatrix(2, 5, 0.5 * (lossy.matrix + product))
+        swapped = rho.matrix.reshape((6,) * 4).transpose(1, 0, 3, 2).reshape(36, 36)
+        assert np.max(np.abs(swapped - rho.matrix)) > 0.05
+        return rho
+
+    @pytest.mark.parametrize("mode", [0, 1])
+    @pytest.mark.parametrize("eta", [0.0, 0.35, 1.0])
+    def test_loss_matches_lifted_kraus_sum(self, rho, mode, eta):
+        np.testing.assert_array_equal(loss_fock(rho, mode, eta).matrix, loss_oracle(rho, mode, eta).matrix)
+
+    @pytest.mark.parametrize("mode", [0, 1])
+    def test_rotation_matches_lifted_phase(self, rho, mode):
+        u = lift_oracle(np.diag(np.exp(1.1j * np.arange(6))), mode)
+        expected = FockDensityMatrix(2, 5, u @ rho.matrix @ u.conj().T).matrix
+        np.testing.assert_allclose(rotate_fock(rho, mode, 1.1).matrix, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("mode", [0, 1])
+    def test_mean_photon_matches_lifted_number_operator(self, rho, mode):
+        n_op = lift_oracle(np.diag(np.arange(6.0)).astype(complex), mode)
+        assert mean_photon(rho, mode) == float(np.trace(rho.matrix @ n_op).real)
 
 
 class TestMeanPhoton:

@@ -53,7 +53,7 @@ class FockDensityMatrix:
             raise ValueError(f"matrix must be {dim}x{dim}, got {matrix.shape}")
         if np.max(np.abs(matrix - matrix.conj().T)) > _HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
-        matrix = 0.5 * (matrix + matrix.conj().T)
+        matrix = _hermitian_part(matrix)
         eigs = np.linalg.eigvalsh(matrix)
         if eigs.min() < -_POSITIVITY_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
@@ -117,16 +117,23 @@ def destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
 
 
-def _mode_axes(rho: FockDensityMatrix, mode: int):
-    """``rho.matrix`` viewed with one row and one column axis per mode,
-    `mode`'s two axes last, and the inverse map back to a matrix."""
-    if not 0 <= mode < rho.n_modes:
+def _hermitian_part(matrix: np.ndarray) -> np.ndarray:
+    """0.5 (M + M^H): exactly Hermitian, and M itself if M already is."""
+    return 0.5 * (matrix + matrix.conj().T)
+
+
+def _mode_axes(matrix: np.ndarray, n_modes: int, mode: int):
+    """An `n_modes`-mode density matrix viewed with one row and one column
+    axis per mode, `mode`'s two axes last, and the inverse map back to a
+    matrix."""
+    if not 0 <= mode < n_modes:
         raise ValueError(f"mode {mode} out of range")
-    axes = (mode, rho.n_modes + mode)
-    tensor = rho.matrix.reshape((rho.cutoff + 1,) * 2 * rho.n_modes)
+    dim = len(matrix)
+    axes = (mode, n_modes + mode)
+    tensor = matrix.reshape((math.isqrt(dim) if n_modes == 2 else dim,) * 2 * n_modes)
 
     def to_matrix(t: np.ndarray) -> np.ndarray:
-        return np.moveaxis(t, (-2, -1), axes).reshape(rho.dim, rho.dim)
+        return np.moveaxis(t, (-2, -1), axes).reshape(dim, dim)
 
     return np.moveaxis(tensor, axes, (-2, -1)), to_matrix
 
@@ -142,45 +149,64 @@ def _squeezed_amplitudes(zeta: float, cutoff: int) -> np.ndarray:
     return amps
 
 
+def _check_squeezing(zeta: float, cutoff: int) -> None:
+    if cutoff < 2:
+        raise ValueError("cutoff must be >= 2")
+    if zeta < 0:
+        raise ValueError("zeta must be >= 0")
+
+
+def _squeezed_vacuum(zeta: float, cutoff: int) -> np.ndarray:
+    _check_squeezing(zeta, cutoff)
+    amps = _squeezed_amplitudes(zeta, cutoff)
+    return np.outer(amps, amps).astype(complex)
+
+
 def squeezed_vacuum_fock(zeta: float, cutoff: int, tail_tol: float = 1e-3) -> FockDensityMatrix:
     """Single-mode squeezed vacuum as a truncated pure-state density matrix."""
-    if cutoff < 2:
-        raise ValueError("cutoff must be >= 2")
-    if zeta < 0:
-        raise ValueError("zeta must be >= 0")
-    amps = _squeezed_amplitudes(zeta, cutoff)
-    return FockDensityMatrix(1, cutoff, np.outer(amps, amps).astype(complex), tail_tol)
+    return FockDensityMatrix(1, cutoff, _squeezed_vacuum(zeta, cutoff), tail_tol)
 
 
-def tmsv_fock(zeta: float, cutoff: int, tail_tol: float = 1e-3) -> FockDensityMatrix:
-    """Two-mode squeezed vacuum, Schmidt form sqrt(1-L^2) sum_n L^n |nn> with
-    L = tanh(zeta); positions correlated, momenta anticorrelated."""
-    if cutoff < 2:
-        raise ValueError("cutoff must be >= 2")
-    if zeta < 0:
-        raise ValueError("zeta must be >= 0")
+def _tmsv(zeta: float, cutoff: int) -> np.ndarray:
+    _check_squeezing(zeta, cutoff)
     lam = math.tanh(zeta)
     dim = cutoff + 1
     vec = np.zeros(dim * dim)
     norm = math.sqrt(1.0 - lam * lam)
     for n in range(dim):
         vec[n * dim + n] = norm * lam**n
-    return FockDensityMatrix(2, cutoff, np.outer(vec, vec).astype(complex), tail_tol)
+    return np.outer(vec, vec).astype(complex)
+
+
+def tmsv_fock(zeta: float, cutoff: int, tail_tol: float = 1e-3) -> FockDensityMatrix:
+    """Two-mode squeezed vacuum, Schmidt form sqrt(1-L^2) sum_n L^n |nn> with
+    L = tanh(zeta); positions correlated, momenta anticorrelated."""
+    return FockDensityMatrix(2, cutoff, _tmsv(zeta, cutoff), tail_tol)
+
+
+def _loss(matrix: np.ndarray, n_modes: int, mode: int, eta: float) -> np.ndarray:
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"transmissivity must be in [0, 1], got {eta}")
+    t, to_matrix = _mode_axes(matrix, n_modes, mode)
+    dim = t.shape[-1]
+    out = np.zeros_like(t)
+    for k in range(dim):
+        a = np.array([math.sqrt(math.comb(m, k) * eta ** (m - k) * (1.0 - eta) ** k) for m in range(k, dim)])
+        out[..., : dim - k, : dim - k] += (a[:, None] * t[..., k:, k:]) * a
+    return to_matrix(out)
 
 
 def loss_fock(rho: FockDensityMatrix, mode: int, eta: float) -> FockDensityMatrix:
     """Apply a loss channel of transmissivity eta to one mode: the Kraus sum of
     A_k = sum_m sqrt(C(m,k) eta^(m-k) (1-eta)^k) |m-k><m|, trace-preserving
     on the truncated space, applied to the mode's axes in k order."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must be in [0, 1], got {eta}")
-    t, to_matrix = _mode_axes(rho, mode)
-    dim = rho.cutoff + 1
-    out = np.zeros_like(t)
-    for k in range(dim):
-        a = np.array([math.sqrt(math.comb(m, k) * eta ** (m - k) * (1.0 - eta) ** k) for m in range(k, dim)])
-        out[..., : dim - k, : dim - k] += (a[:, None] * t[..., k:, k:]) * a
-    return FockDensityMatrix(rho.n_modes, rho.cutoff, to_matrix(out), rho.tail_tol)
+    return FockDensityMatrix(rho.n_modes, rho.cutoff, _loss(rho.matrix, rho.n_modes, mode, eta), rho.tail_tol)
+
+
+def _rotate(matrix: np.ndarray, n_modes: int, mode: int, phi: float) -> np.ndarray:
+    t, to_matrix = _mode_axes(matrix, n_modes, mode)
+    phases = np.exp(1j * phi * np.arange(t.shape[-1]))
+    return to_matrix((phases[:, None] * t) * phases.conj())
 
 
 def rotate_fock(rho: FockDensityMatrix, mode: int, phi: float) -> FockDensityMatrix:
@@ -188,15 +214,12 @@ def rotate_fock(rho: FockDensityMatrix, mode: int, phi: float) -> FockDensityMat
 
     Matches the covariance-module convention V'(theta) = V(theta - phi).
     """
-    t, to_matrix = _mode_axes(rho, mode)
-    phases = np.exp(1j * phi * np.arange(rho.cutoff + 1))
-    rotated = (phases[:, None] * t) * phases.conj()
-    return FockDensityMatrix(rho.n_modes, rho.cutoff, to_matrix(rotated), rho.tail_tol)
+    return FockDensityMatrix(rho.n_modes, rho.cutoff, _rotate(rho.matrix, rho.n_modes, mode, phi), rho.tail_tol)
 
 
 def mean_photon(rho: FockDensityMatrix, mode: int) -> float:
     """Tr(rho n_mode), with n_mode applied to the mode's column axis."""
-    t, to_matrix = _mode_axes(rho, mode)
+    t, to_matrix = _mode_axes(rho.matrix, rho.n_modes, mode)
     return float(np.trace(to_matrix(t * np.arange(rho.cutoff + 1))).real)
 
 
@@ -308,7 +331,10 @@ def gaussian_to_fock(
     modes.  Anything else raises UnsupportedStateError.  The state is built
     at a working cutoff above the requested one, the discarded tail is
     measured, and the result is truncated down, so every conversion comes
-    with an explicit TruncationReport.
+    with an explicit TruncationReport.  The intermediate states at the
+    working cutoff are made Hermitian after each step, as the
+    FockDensityMatrix constructor makes them, but only the truncated result
+    is validated: the channels keep states positive.
     """
     if state.n_modes not in (1, 2):
         raise UnsupportedStateError("only 1- and 2-mode states are supported")
@@ -317,28 +343,26 @@ def gaussian_to_fock(
     margin = 8
     work = cutoff + margin
 
-    if state.n_modes == 1:
+    n = state.n_modes
+    if n == 1:
         zeta, eta, angle = _single_mode_family(state.cov)
-        rho = squeezed_vacuum_fock(zeta, work, tail_tol=1.0)
+        matrix = _hermitian_part(_squeezed_vacuum(zeta, work))
         if angle != 0.0:
-            rho = rotate_fock(rho, 0, angle)
-        if eta < 1.0:
-            rho = loss_fock(rho, 0, eta)
+            matrix = _hermitian_part(_rotate(matrix, 1, 0, angle))
     else:
         zeta, eta = _two_mode_family(state.cov)
-        rho = tmsv_fock(zeta, work, tail_tol=1.0)
-        if eta < 1.0:
-            rho = loss_fock(rho, 0, eta)
-            rho = loss_fock(rho, 1, eta)
+        matrix = _hermitian_part(_tmsv(zeta, work))
+    if eta < 1.0:
+        for mode in range(n):
+            matrix = _hermitian_part(_loss(matrix, n, mode, eta))
 
     # one axis per mode: keep photon numbers <= cutoff on every axis and
     # discard each diagonal entry with some photon number above it
-    n = state.n_modes
     dim, wdim = cutoff + 1, work + 1
-    kept = rho.matrix.reshape((wdim,) * 2 * n)[(slice(dim),) * 2 * n].reshape(dim**n, dim**n)
+    kept = matrix.reshape((wdim,) * 2 * n)[(slice(dim),) * 2 * n].reshape(dim**n, dim**n)
     discarded = np.ones((wdim,) * n, dtype=bool)
     discarded[(slice(dim),) * n] = False
-    discarded_diag = np.diag(rho.matrix).real.reshape((wdim,) * n)[discarded]
+    discarded_diag = np.diag(matrix).real.reshape((wdim,) * n)[discarded]
     trace_kept = float(np.trace(kept).real)
     report = TruncationReport(
         trace_deficit=max(0.0, 1.0 - trace_kept),

@@ -4,6 +4,15 @@ Sampling is deterministic: a PCG64 stream seeded from SweepConfig.seed feeds
 an inverse-CDF normal transform (exactly one uniform per normal draw, no
 rejection), so a given seed always reproduces the same dataset bytes.
 
+Per-record arrays are mode-major: a dataset's `thetas` and `xs` keep their
+(n_samples, n_modes) shape, but each mode's column is contiguous (Fortran
+order) however the arrays were built, so per-mode arithmetic runs over
+contiguous memory.  Only the normals are drawn record by record,
+(z_1[, z_2]) per record, which fixes the PCG64 stream order.  The theta
+centres of a trace sum each window pairwise for one mode (numpy's mean) and
+sequentially, in index order from +0.0, for two; fixed-seed trace bytes
+depend on that order.
+
 CSV formats (ASCII, LF line endings, 17 significant digits):
 
 * dataset:  index,theta1,x1[,theta2,x2]
@@ -66,11 +75,14 @@ class SweepConfig:
         return len(self.phases)
 
     def thetas(self) -> np.ndarray:
-        """(n_samples, n_modes) array of LO phases, exactly as scheduled."""
-        idx = np.arange(self.n_samples, dtype=float)[:, None]
-        theta0 = np.array([p.theta0 for p in self.phases])
-        rate = np.array([p.rate for p in self.phases])
-        return theta0[None, :] + rate[None, :] * idx
+        """(n_samples, n_modes) array of LO phases, exactly as scheduled,
+        each mode's column contiguous."""
+        idx = np.arange(self.n_samples, dtype=float)
+        out = np.empty((self.n_modes, self.n_samples))
+        for row, p in zip(out, self.phases):
+            np.multiply(p.rate, idx, out=row)
+            row += p.theta0
+        return out.T
 
 
 _BLOCK_ROWS = 16384  # rows formatted per write and parsed per step
@@ -164,14 +176,16 @@ def _positive_integers(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureDataset:
-    """Homodyne records: per sample, the LO phases and measured quadratures."""
+    """Homodyne records: per sample, the LO phases and measured quadratures,
+    as read-only (n_samples, n_modes) arrays with each mode's column
+    contiguous."""
 
     thetas: np.ndarray
     xs: np.ndarray
 
     def __post_init__(self):
-        thetas = np.atleast_2d(np.asarray(self.thetas, dtype=float))
-        xs = np.atleast_2d(np.asarray(self.xs, dtype=float))
+        thetas = np.asfortranarray(np.atleast_2d(np.asarray(self.thetas, dtype=float)))
+        xs = np.asfortranarray(np.atleast_2d(np.asarray(self.xs, dtype=float)))
         if thetas.shape != xs.shape:
             raise ValueError("thetas and xs must have matching shapes")
         if thetas.shape[1] not in (1, 2):
@@ -273,8 +287,8 @@ def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
 
     u = rng.random(shape)
     # rng.random() can return exactly 0, where the inverse CDF diverges
-    u = np.where(u == 0.0, 0.5 ** 54, u)
-    return ndtri(u)
+    u[u == 0.0] = 0.5 ** 54
+    return ndtri(u, out=u)
 
 
 def sample(state: GaussianState, config: SweepConfig) -> QuadratureDataset:
@@ -282,7 +296,9 @@ def sample(state: GaussianState, config: SweepConfig) -> QuadratureDataset:
 
     For each record the vector (X_{1,theta1}[, X_{2,theta2}]) is drawn from
     the zero-mean Gaussian whose covariance is induced by the state and the
-    scheduled phases, via a closed-form Cholesky factor per record.
+    scheduled phases, via a closed-form Cholesky factor per record.  The
+    normals are drawn record by record, (z_1[, z_2]) each, and every other
+    array is one contiguous column per mode.
     """
     if state.n_modes != config.n_modes:
         raise ValueError(
@@ -291,27 +307,25 @@ def sample(state: GaussianState, config: SweepConfig) -> QuadratureDataset:
     if state.n_modes > 2:
         raise ValueError("sampling supports 1 or 2 modes")
     thetas = config.thetas()
-    c = np.cos(thetas)
-    s = np.sin(thetas)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     z = _standard_normals(rng, (config.n_samples, state.n_modes))
+    x = np.empty((state.n_modes, config.n_samples))
     cov = state.cov
-    s11 = c[:, 0] ** 2 * cov[0, 0] + 2 * c[:, 0] * s[:, 0] * cov[0, 1] + s[:, 0] ** 2 * cov[1, 1]
-    l11 = np.sqrt(s11)
-    x1 = l11 * z[:, 0]
-    if state.n_modes == 1:
-        return QuadratureDataset(thetas, x1[:, None])
-    s22 = c[:, 1] ** 2 * cov[2, 2] + 2 * c[:, 1] * s[:, 1] * cov[2, 3] + s[:, 1] ** 2 * cov[3, 3]
-    s12 = (
-        c[:, 0] * c[:, 1] * cov[0, 2]
-        + c[:, 0] * s[:, 1] * cov[0, 3]
-        + s[:, 0] * c[:, 1] * cov[1, 2]
-        + s[:, 0] * s[:, 1] * cov[1, 3]
-    )
-    l21 = s12 / l11
-    l22 = np.sqrt(np.clip(s22 - l21**2, 0.0, None))
-    x2 = l21 * z[:, 0] + l22 * z[:, 1]
-    return QuadratureDataset(thetas, np.column_stack([x1, x2]))
+    c1, s1 = np.cos(thetas[:, 0]), np.sin(thetas[:, 0])
+    l11 = np.sqrt(c1**2 * cov[0, 0] + 2 * c1 * s1 * cov[0, 1] + s1**2 * cov[1, 1])
+    np.multiply(l11, z[:, 0], out=x[0])
+    if state.n_modes == 2:
+        c2, s2 = np.cos(thetas[:, 1]), np.sin(thetas[:, 1])
+        s22 = c2**2 * cov[2, 2] + 2 * c2 * s2 * cov[2, 3] + s2**2 * cov[3, 3]
+        s12 = c1 * c2 * cov[0, 2] + c1 * s2 * cov[0, 3] + s1 * c2 * cov[1, 2] + s1 * s2 * cov[1, 3]
+        del c1, s1, c2, s2
+        l21 = np.divide(s12, l11, out=s12)
+        del l11
+        l22 = np.sqrt(np.clip(s22 - l21**2, 0.0, None))
+        del s22
+        np.multiply(l21, z[:, 0], out=x[1])
+        x[1] += l22 * z[:, 1]
+    return QuadratureDataset(thetas, x.T)
 
 
 def binned_variance(data: QuadratureDataset, window: int, target: str) -> VarianceTrace:
@@ -342,6 +356,15 @@ def binned_variance(data: QuadratureDataset, window: int, target: str) -> Varian
     chunks = values[:used].reshape(n_bins, window)
     variance = chunks.var(axis=1, ddof=1)
     idx = np.arange(used, dtype=float).reshape(n_bins, window).mean(axis=1)
-    theta_centers = data.thetas[:used].reshape(n_bins, window, data.n_modes).mean(axis=1)
+    theta_centers = np.empty((data.n_modes, n_bins))
+    for row, column in zip(theta_centers, data.thetas.T):
+        windows = column[:used].reshape(n_bins, window)
+        if data.n_modes == 1:
+            windows.mean(axis=1, out=row)
+        else:
+            # trace bytes are pinned: two modes sum each window in index
+            # order from +0.0 (cumsum from the first value, then + 0.0 for
+            # an all -0.0 window), one mode pairwise (numpy's mean)
+            np.divide(np.cumsum(windows, axis=1)[:, -1] + 0.0, window, out=row)
     counts = np.full(n_bins, window, dtype=int)
-    return VarianceTrace(idx, theta_centers, variance, counts)
+    return VarianceTrace(idx, theta_centers.T, variance, counts)

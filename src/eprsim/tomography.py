@@ -18,11 +18,13 @@ a small gain of any other step resets d to it and tests again.
 Each projector factorises over the modes, Pi = |a><a| (x) |b><b|, and each
 factor is written in an orthonormal Hermitian basis of the
 (cutoff + 1)^2-dimensional space of one mode's matrices: D = (cutoff + 1)^2
-real features per record and mode (_ProjectorFeatures).  With r the real D x D
+real features per record and mode (_ProjectorFeatures), stored as a D x M
+array with one contiguous row per feature.  With r the real D x D
 coordinates of a candidate rho, the likelihoods are Tr(rho Pi_j) =
-phi_1(j)^T r phi_2(j), one real GEMM and a row-dot; R has the coordinates
-Phi_1^T diag(w) Phi_2, one real GEMM.  One mode reduces both to a matvec.
-Only the d x d matrices G, rho and R are complex.
+phi_1(j)^T r phi_2(j), one real GEMM r^T Phi_1 and a column-dot with Phi_2;
+R has the coordinates Phi_1 diag(w) Phi_2^T: w times each row of Phi_2
+and one real GEMM.  One mode reduces both to a matvec.  Only the d x d
+matrices G, rho and R are complex.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def _wavefunction_table(n_max: int, x: np.ndarray) -> np.ndarray:
 
 def _hermitian_basis(n: int) -> np.ndarray:
     """Orthonormal Hermitian basis of the n x n matrices, one flattened matrix
-    per row, in the column order of _mode_features: E_ii, then for each pair i < k
+    per row, in the feature order of _mode_features: E_ii, then for each pair i < k
     by increasing k - i, (E_ik + E_ki)/sqrt 2 and i (E_ik - E_ki)/sqrt 2."""
     basis = np.zeros((n * n, n, n), dtype=complex)
     basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
@@ -86,32 +88,32 @@ def _hermitian_basis(n: int) -> np.ndarray:
 
 def _mode_features(thetas: np.ndarray, xs: np.ndarray, cutoff: int) -> np.ndarray:
     """Coordinates of each record's |theta, x><theta, x| in _hermitian_basis,
-    shape (M, (cutoff + 1)^2): psi_i^2, sqrt 2 psi_i psi_k cos((k - i) theta)
-    and -sqrt 2 psi_i psi_k sin((k - i) theta), written block by block into
-    one array so that the temporaries stay small."""
+    shape ((cutoff + 1)^2, M), one contiguous row per feature: psi_i^2,
+    sqrt 2 psi_i psi_k cos((k - i) theta) and -sqrt 2 psi_i psi_k
+    sin((k - i) theta), written block by block of records into one array so
+    that the temporaries stay small."""
     n = cutoff + 1
-    out = np.empty((len(xs), n * n))
+    out = np.empty((n * n, len(xs)))
     for start in range(0, len(xs), _FEATURE_BLOCK):
         rows = slice(start, start + _FEATURE_BLOCK)
-        block = out[rows]
+        block = out[:, rows]
         psi = _wavefunction_table(cutoff, xs[rows])
-        for i in range(n):
-            np.square(psi[i], out=block[:, i])
-        column = n
+        np.square(psi, out=block[:n])
+        row = n
         for shift in range(1, n):
             angle = shift * thetas[rows]
             cos, neg_sin = np.cos(angle), -np.sin(angle)
             for i in range(n - shift):
                 amplitude = _SQRT2 * psi[i] * psi[i + shift]
-                np.multiply(amplitude, cos, out=block[:, column])
-                np.multiply(amplitude, neg_sin, out=block[:, column + 1])
-                column += 2
+                np.multiply(amplitude, cos, out=block[row])
+                np.multiply(amplitude, neg_sin, out=block[row + 1])
+                row += 2
     return out
 
 
 class _ProjectorFeatures:
     """A dataset's projectors in real coordinates: each mode's factor
-    |theta, x><theta, x| in _hermitian_basis, one (M, D) array per mode.
+    |theta, x><theta, x| in _hermitian_basis, one (D, M) array per mode.
     A Hermitian matrix H has the real coordinates Tr(B_mu [(x) B_nu] H): a
     D-vector for one mode, a D x D matrix for two."""
 
@@ -123,23 +125,23 @@ class _ProjectorFeatures:
         self.scratch = None
         if data.n_modes == 2:
             self.second = _mode_features(data.thetas[:, 1], data.xs[:, 1], cutoff)
-            # one M x D temporary, shared by the likelihoods and R's weighted features
+            # one D x M temporary, shared by the likelihoods and R's weighted features
             self.scratch = np.empty_like(self.first)
 
     def likelihoods(self, rho: np.ndarray) -> np.ndarray:
-        """Tr(rho Pi_j) = phi_1(j)^T r phi_2(j), or phi(j)^T r for one mode."""
+        """Tr(rho Pi_j) = phi_1(j)^T r phi_2(j), or r^T phi(j) for one mode."""
         coords = self._coordinates(rho)
         if self.second is None:
-            return self.first @ coords
-        np.matmul(self.first, coords, out=self.scratch)
-        return np.einsum("mk,mk->m", self.scratch, self.second)
+            return coords @ self.first
+        np.matmul(coords.T, self.first, out=self.scratch)
+        return np.einsum("km,km->m", self.scratch, self.second)
 
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
-        """sum_j w_j Pi_j, from its coordinates Phi_1^T diag(w) Phi_2, or Phi^T w."""
+        """sum_j w_j Pi_j, from its coordinates Phi_1 diag(w) Phi_2^T, or Phi w."""
         if self.second is None:
-            return self._from_coordinates(weights @ self.first)
-        np.multiply(self.second, weights[:, None], out=self.scratch)
-        return self._from_coordinates(self.first.T @ self.scratch)
+            return self._from_coordinates(self.first @ weights)
+        np.multiply(self.second, weights, out=self.scratch)
+        return self._from_coordinates(self.first @ self.scratch.T)
 
     def _coordinates(self, matrix: np.ndarray) -> np.ndarray:
         conj = self.basis.conj()

@@ -299,6 +299,28 @@ class TestGaussianToFock:
         assert report.largest_discarded_population == pytest.approx((1 - lam2) * lam2**4, rel=1e-12)
         assert report.trace_deficit == pytest.approx(lam2**4, rel=1e-9)
 
+    @pytest.mark.parametrize("cutoff", [2, 4, 7])
+    def test_equals_validated_public_chain(self, cutoff):
+        # the conversion builds its working-cutoff states as raw matrices;
+        # the same steps through the validating public functions, then
+        # truncated, give the same bits
+        work, dim = cutoff + 8, cutoff + 1
+        rng = np.random.default_rng(cutoff)
+        for zeta, eta, angle in zip(rng.uniform(0.0, 1.2, 8), [1.0, *rng.uniform(0.05, 1.0, 7)], rng.uniform(0, 3, 8)):
+            state = epr_pipeline(PipelineConfig(zeta=zeta, eta=eta))
+            z, e = _two_mode_family(state.cov)
+            chain = tmsv_fock(z, work, tail_tol=1.0)
+            if e < 1.0:
+                chain = loss_fock(loss_fock(chain, 0, e), 1, e)
+            kept = chain.matrix.reshape((work + 1,) * 4)[:dim, :dim, :dim, :dim].reshape(dim**2, dim**2)
+            assert gaussian_to_fock(state, cutoff, tail_tol=1.0)[0].matrix.tobytes() == kept.tobytes()
+
+            state = loss(squeeze(vacuum(1), 0, zeta, angle), 0, eta)
+            z, e, a = _single_mode_family(state.cov)
+            chain = loss_fock(rotate_fock(squeezed_vacuum_fock(z, work, tail_tol=1.0), 0, a), 0, e)
+            kept = chain.matrix[:dim, :dim]
+            assert gaussian_to_fock(state, cutoff, tail_tol=1.0)[0].matrix.tobytes() == kept.tobytes()
+
     def test_thermal_mode_unsupported(self):
         # a reduced pipeline mode is thermal: not squeezed vacuum + loss
         from eprsim.gaussian import reduce_modes

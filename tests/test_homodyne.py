@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from eprsim.errors import DataFormatError
 from eprsim.gaussian import (
@@ -15,10 +16,12 @@ from eprsim.gaussian import (
 )
 from eprsim.homodyne import (
     _BLOCK_ROWS,
+    _TARGETS,
     PhaseSchedule,
     QuadratureDataset,
     SweepConfig,
     VarianceTrace,
+    _standard_normals,
     binned_variance,
     sample,
 )
@@ -437,3 +440,140 @@ class TestTraceCounts:
             VarianceTrace.from_csv(path)
         assert err.value.line == 4
         assert str(err.value) == f"line 4: count must be a positive integer, got {shown}"
+
+
+def interleaved_thetas(config: SweepConfig) -> np.ndarray:
+    """SweepConfig.thetas as a record-major (n, modes) array."""
+    idx = np.arange(config.n_samples, dtype=float)[:, None]
+    theta0 = np.array([p.theta0 for p in config.phases])
+    rate = np.array([p.rate for p in config.phases])
+    return theta0[None, :] + rate[None, :] * idx
+
+
+def interleaved_sample(state, config: SweepConfig):
+    """`sample` on record-major (n, modes) arrays: (thetas, xs)."""
+    thetas = interleaved_thetas(config)
+    c = np.cos(thetas)
+    s = np.sin(thetas)
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    u = rng.random((config.n_samples, state.n_modes))
+    z = ndtri(np.where(u == 0.0, 0.5**54, u))
+    cov = state.cov
+    s11 = c[:, 0] ** 2 * cov[0, 0] + 2 * c[:, 0] * s[:, 0] * cov[0, 1] + s[:, 0] ** 2 * cov[1, 1]
+    l11 = np.sqrt(s11)
+    x1 = l11 * z[:, 0]
+    if state.n_modes == 1:
+        return thetas, x1[:, None]
+    s22 = c[:, 1] ** 2 * cov[2, 2] + 2 * c[:, 1] * s[:, 1] * cov[2, 3] + s[:, 1] ** 2 * cov[3, 3]
+    s12 = (
+        c[:, 0] * c[:, 1] * cov[0, 2]
+        + c[:, 0] * s[:, 1] * cov[0, 3]
+        + s[:, 0] * c[:, 1] * cov[1, 2]
+        + s[:, 0] * s[:, 1] * cov[1, 3]
+    )
+    l21 = s12 / l11
+    l22 = np.sqrt(np.clip(s22 - l21**2, 0.0, None))
+    x2 = l21 * z[:, 0] + l22 * z[:, 1]
+    return thetas, np.column_stack([x1, x2])
+
+
+def interleaved_binned_variance(thetas, xs, window, target):
+    """`binned_variance` on record-major arrays: (index, theta centres, variance)."""
+    if target == "mode1":
+        values = xs[:, 0]
+    elif target == "mode2":
+        values = xs[:, 1]
+    elif target == "sum":
+        values = (xs[:, 0] + xs[:, 1]) / math.sqrt(2.0)
+    else:
+        values = (xs[:, 0] - xs[:, 1]) / math.sqrt(2.0)
+    n_bins = len(values) // window
+    used = n_bins * window
+    variance = values[:used].reshape(n_bins, window).var(axis=1, ddof=1)
+    idx = np.arange(used, dtype=float).reshape(n_bins, window).mean(axis=1)
+    theta_centers = thetas[:used].reshape(n_bins, window, thetas.shape[1]).mean(axis=1)
+    return idx, theta_centers, variance
+
+
+def layout_cases(count=120):
+    """Seeded (state, config, window) cases: 1 and 2 modes, held and swept
+    phases, log-uniform n in [1, 200k] and windows in [2, min(n, 5000)]."""
+    rng = np.random.default_rng(15)
+    cases = []
+    for i in range(count):
+        modes = 1 + i % 2
+        zeta, eta = rng.uniform(0.0, 1.2), rng.uniform(0.05, 1.0)
+        if modes == 1:
+            state = loss(squeeze(vacuum(1), 0, zeta, rng.uniform(0.0, math.pi)), 0, eta)
+        else:
+            state = epr_pipeline(PipelineConfig(zeta=zeta, eta=eta, relative_phase=rng.uniform(0.0, math.pi)))
+        n = 200_000 if i < 4 else int(np.exp(rng.uniform(0.0, math.log(200_000))))
+        phases = []
+        for m in range(modes):
+            swept = rng.random() < 0.6 or (m == 0 and i % 4 == 1)
+            rate = rng.uniform(-2.0, 2.0) * 8 * math.pi / n if swept else 0.0
+            phases.append(PhaseSchedule(rng.uniform(-7.0, 7.0), rate))
+        window = int(np.exp(rng.uniform(math.log(2), math.log(max(2, min(n, 5000))))))
+        if i == 5:
+            phases[0], n, window = PhaseSchedule(-0.0, -0.0), 3000, 100  # every phase -0.0
+        cases.append((state, SweepConfig(tuple(phases), n, int(rng.integers(0, 2**31))), window))
+    return cases
+
+
+class TestModeMajorLayout:
+    """Per-mode contiguous columns change no value: `sample` and
+    `binned_variance` give the bytes of the record-major reference."""
+
+    def test_byte_equal_to_record_major_reference(self):
+        compared = 0
+        for state, config, window in layout_cases():
+            data = sample(state, config)
+            thetas, xs = interleaved_sample(state, config)
+            assert same_bits(config.thetas(), thetas)
+            assert same_bits(data.thetas, thetas) and same_bits(data.xs, xs)
+            if window > config.n_samples:
+                continue
+            targets = _TARGETS if data.n_modes == 2 else ("mode1",)
+            for target in targets:
+                trace = binned_variance(data, window, target)
+                idx, centers, variance = interleaved_binned_variance(thetas, xs, window, target)
+                assert same_bits(trace.bin_center_index, idx)
+                assert same_bits(trace.theta_centers, centers)
+                assert same_bits(trace.variance, variance)
+            compared += 1
+        assert compared >= 100
+
+    @staticmethod
+    def assert_mode_columns(data):
+        for array in (data.thetas, data.xs):
+            for m in range(data.n_modes):
+                column = array[:, m]
+                assert column.flags.c_contiguous and not column.flags.writeable
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_columns_contiguous_and_read_only(self, tmp_path, modes):
+        config = fixed_config(0.3, 1000, seed=4, modes=modes)
+        sampled = sample(epr_pipeline(PipelineConfig(zeta=0.4)) if modes == 2 else vacuum(1), config)
+        self.assert_mode_columns(sampled)
+        sampled.to_csv(tmp_path / "data.csv")
+        self.assert_mode_columns(QuadratureDataset.from_csv(tmp_path / "data.csv"))
+        rng = np.random.default_rng(modes)
+        thetas, xs = rng.normal(size=(50, modes)), rng.normal(size=(50, modes))
+        built = QuadratureDataset(thetas, xs)
+        self.assert_mode_columns(built)
+        assert same_bits(built.thetas, thetas) and same_bits(built.xs, xs)
+
+    def test_exact_zero_draw(self):
+        class ZeroDraws:
+            def random(self, shape):
+                u = np.random.default_rng(3).random(shape)
+                u[[0, 3, 3, 7], [0, 0, 1, 1]] = 0.0
+                return u
+
+        z = _standard_normals(ZeroDraws(), (10, 2))
+        u = ZeroDraws().random((10, 2))
+        zero = u == 0.0
+        assert zero.sum() == 4
+        assert np.all(np.isfinite(z))
+        assert np.all(z[zero] == ndtri(0.5**54))
+        assert same_bits(z[~zero], ndtri(u[~zero]))

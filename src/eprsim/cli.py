@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedStateError,
 )
 from .fitting import fit_epr, fit_single, squeezing_db
-from .fock import fidelity, loss_fock, mean_photon, tmsv_fock
+from .fock import fidelity, gaussian_to_fock, mean_photon
 from .gaussian import PipelineConfig, epr_pipeline, epr_variance, loss, squeeze, vacuum
 from .homodyne import PhaseSchedule, QuadratureDataset, SweepConfig, VarianceTrace, binned_variance, sample
 from .optics import (
@@ -250,9 +250,8 @@ def _cmd_tomography(args) -> int:
     if args.ref_zeta is not None:
         if dataset.n_modes != 2:
             raise UnsupportedStateError("reference comparison needs a 2-mode dataset")
-        reference = tmsv_fock(args.ref_zeta, args.cutoff)
-        for m in range(2):
-            reference = loss_fock(reference, m, args.ref_eta)
+        ref_state = epr_pipeline(PipelineConfig(zeta=args.ref_zeta, eta=args.ref_eta))
+        reference, _ = gaussian_to_fock(ref_state, args.cutoff)
 
     state, diagnostics = reconstruct(dataset, config)
 
@@ -451,7 +450,8 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"eprsim: numerical failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: a finite value too large for math.exp/cosh, e.g. --zeta 1e6
         print(f"eprsim: invalid parameters: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -2,7 +2,9 @@
 
 
 class UnsupportedStateError(ValueError):
-    """State falls outside the squeezed / two-mode-squeezed + loss family."""
+    """A mode count outside what is supported: a Gaussian state of other than
+    1 or 2 modes given to the Fock conversion, or a two-mode reference asked
+    of a one-mode dataset."""
 
 
 class IllPosedFitError(ValueError):

@@ -1,4 +1,4 @@
-"""Truncated photon-number representation of the squeezed-state family.
+"""Truncated photon-number representation of 1- and 2-mode states.
 
 Density matrices are stored over the basis |n1> (one mode) or |n1 n2>
 (two modes, lexicographic, index = n1*(cutoff+1) + n2) with photon numbers
@@ -10,6 +10,9 @@ Per-mode operations act on the mode's own row and column axes of the matrix
 viewed as a tensor with one row and one column axis per mode.  Loss of
 transmissivity eta is the beam-splitter photon-loss channel of homodyne
 tomography, rho'_mn = sum_k sqrt(C(m+k,k) C(n+k,k)) eta^((m+n)/2) (1-eta)^k rho_{m+k,n+k}.
+
+`gaussian_to_fock` converts any zero-mean 1- or 2-mode covariance exactly;
+the closed-form squeezed states and channels here are its independent check.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedStateError
-from .gaussian import VACUUM_VARIANCE, GaussianState
+from .gaussian import GaussianState
 
 _HERMITICITY_TOL = 1e-10
 _POSITIVITY_TOL = 1e-10
@@ -53,7 +56,8 @@ class FockDensityMatrix:
             raise ValueError(f"matrix must be {dim}x{dim}, got {matrix.shape}")
         if np.max(np.abs(matrix - matrix.conj().T)) > _HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
-        matrix = _hermitian_part(matrix)
+        # exactly Hermitian, and unchanged if it already was
+        matrix = 0.5 * (matrix + matrix.conj().T)
         eigs = np.linalg.eigvalsh(matrix)
         if eigs.min() < -_POSITIVITY_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
@@ -106,7 +110,13 @@ class FockDensityMatrix:
 
 @dataclass(frozen=True)
 class TruncationReport:
-    """What a Fock-space conversion threw away."""
+    """What a Fock-space conversion threw away.
+
+    `trace_deficit` is 1 - Tr(kept), exact because the kept entries are.
+    `largest_discarded_population` is the largest diagonal entry with some
+    photon number in cutoff + 1 .. cutoff + 2: it reaches two levels past the
+    cutoff, since a squeezed mode leaves every other level empty.
+    """
 
     trace_deficit: float
     largest_discarded_population: float
@@ -115,11 +125,6 @@ class TruncationReport:
 def destroy(dim: int) -> np.ndarray:
     """Annihilation operator truncated to `dim` levels."""
     return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
-
-
-def _hermitian_part(matrix: np.ndarray) -> np.ndarray:
-    """0.5 (M + M^H): exactly Hermitian, and M itself if M already is."""
-    return 0.5 * (matrix + matrix.conj().T)
 
 
 def _mode_axes(matrix: np.ndarray, n_modes: int, mode: int):
@@ -156,18 +161,16 @@ def _check_squeezing(zeta: float, cutoff: int) -> None:
         raise ValueError("zeta must be >= 0")
 
 
-def _squeezed_vacuum(zeta: float, cutoff: int) -> np.ndarray:
-    _check_squeezing(zeta, cutoff)
-    amps = _squeezed_amplitudes(zeta, cutoff)
-    return np.outer(amps, amps).astype(complex)
-
-
 def squeezed_vacuum_fock(zeta: float, cutoff: int, tail_tol: float = 1e-3) -> FockDensityMatrix:
     """Single-mode squeezed vacuum as a truncated pure-state density matrix."""
-    return FockDensityMatrix(1, cutoff, _squeezed_vacuum(zeta, cutoff), tail_tol)
+    _check_squeezing(zeta, cutoff)
+    amps = _squeezed_amplitudes(zeta, cutoff)
+    return FockDensityMatrix(1, cutoff, np.outer(amps, amps).astype(complex), tail_tol)
 
 
-def _tmsv(zeta: float, cutoff: int) -> np.ndarray:
+def tmsv_fock(zeta: float, cutoff: int, tail_tol: float = 1e-3) -> FockDensityMatrix:
+    """Two-mode squeezed vacuum, Schmidt form sqrt(1-L^2) sum_n L^n |nn> with
+    L = tanh(zeta); positions correlated, momenta anticorrelated."""
     _check_squeezing(zeta, cutoff)
     lam = math.tanh(zeta)
     dim = cutoff + 1
@@ -175,38 +178,22 @@ def _tmsv(zeta: float, cutoff: int) -> np.ndarray:
     norm = math.sqrt(1.0 - lam * lam)
     for n in range(dim):
         vec[n * dim + n] = norm * lam**n
-    return np.outer(vec, vec).astype(complex)
-
-
-def tmsv_fock(zeta: float, cutoff: int, tail_tol: float = 1e-3) -> FockDensityMatrix:
-    """Two-mode squeezed vacuum, Schmidt form sqrt(1-L^2) sum_n L^n |nn> with
-    L = tanh(zeta); positions correlated, momenta anticorrelated."""
-    return FockDensityMatrix(2, cutoff, _tmsv(zeta, cutoff), tail_tol)
-
-
-def _loss(matrix: np.ndarray, n_modes: int, mode: int, eta: float) -> np.ndarray:
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must be in [0, 1], got {eta}")
-    t, to_matrix = _mode_axes(matrix, n_modes, mode)
-    dim = t.shape[-1]
-    out = np.zeros_like(t)
-    for k in range(dim):
-        a = np.array([math.sqrt(math.comb(m, k) * eta ** (m - k) * (1.0 - eta) ** k) for m in range(k, dim)])
-        out[..., : dim - k, : dim - k] += (a[:, None] * t[..., k:, k:]) * a
-    return to_matrix(out)
+    return FockDensityMatrix(2, cutoff, np.outer(vec, vec).astype(complex), tail_tol)
 
 
 def loss_fock(rho: FockDensityMatrix, mode: int, eta: float) -> FockDensityMatrix:
     """Apply a loss channel of transmissivity eta to one mode: the Kraus sum of
     A_k = sum_m sqrt(C(m,k) eta^(m-k) (1-eta)^k) |m-k><m|, trace-preserving
     on the truncated space, applied to the mode's axes in k order."""
-    return FockDensityMatrix(rho.n_modes, rho.cutoff, _loss(rho.matrix, rho.n_modes, mode, eta), rho.tail_tol)
-
-
-def _rotate(matrix: np.ndarray, n_modes: int, mode: int, phi: float) -> np.ndarray:
-    t, to_matrix = _mode_axes(matrix, n_modes, mode)
-    phases = np.exp(1j * phi * np.arange(t.shape[-1]))
-    return to_matrix((phases[:, None] * t) * phases.conj())
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"transmissivity must be in [0, 1], got {eta}")
+    t, to_matrix = _mode_axes(rho.matrix, rho.n_modes, mode)
+    dim = t.shape[-1]
+    out = np.zeros_like(t)
+    for k in range(dim):
+        a = np.array([math.sqrt(math.comb(m, k) * eta ** (m - k) * (1.0 - eta) ** k) for m in range(k, dim)])
+        out[..., : dim - k, : dim - k] += (a[:, None] * t[..., k:, k:]) * a
+    return FockDensityMatrix(rho.n_modes, rho.cutoff, to_matrix(out), rho.tail_tol)
 
 
 def rotate_fock(rho: FockDensityMatrix, mode: int, phi: float) -> FockDensityMatrix:
@@ -214,7 +201,9 @@ def rotate_fock(rho: FockDensityMatrix, mode: int, phi: float) -> FockDensityMat
 
     Matches the covariance-module convention V'(theta) = V(theta - phi).
     """
-    return FockDensityMatrix(rho.n_modes, rho.cutoff, _rotate(rho.matrix, rho.n_modes, mode, phi), rho.tail_tol)
+    t, to_matrix = _mode_axes(rho.matrix, rho.n_modes, mode)
+    phases = np.exp(1j * phi * np.arange(t.shape[-1]))
+    return FockDensityMatrix(rho.n_modes, rho.cutoff, to_matrix((phases[:, None] * t) * phases.conj()), rho.tail_tol)
 
 
 def mean_photon(rho: FockDensityMatrix, mode: int) -> float:
@@ -263,110 +252,67 @@ def quad_covariance(rho: FockDensityMatrix) -> np.ndarray:
     return cov
 
 
-_FAMILY_TOL = 1e-8
+def _hermite_table(a: np.ndarray, t: float, dim: int) -> np.ndarray:
+    """G_k = t haf(A_k) / sqrt(k!) for every index k in [0, dim)^len(a),
+    where A_k repeats row and column j of `a` k_j times.
 
-
-def _single_mode_family(cov: np.ndarray) -> tuple[float, float, float]:
-    """Recover (zeta, eta, angle) of a squeezed-then-lossy mode from its 2x2
-    covariance, or raise UnsupportedStateError."""
-    vals, vecs = np.linalg.eigh(cov)
-    v_min, v_max = float(vals[0]), float(vals[1])
-    if abs(v_min - VACUUM_VARIANCE) < _FAMILY_TOL and abs(v_max - VACUUM_VARIANCE) < _FAMILY_TOL:
-        return 0.0, 1.0, 0.0
-    alpha = 2.0 * v_min - 1.0
-    beta = 2.0 * v_max - 1.0
-    if alpha >= 0.0:
-        raise UnsupportedStateError(
-            "mode has no squeezed quadrature; not a squeezed vacuum plus loss"
-        )
-    eta = -alpha * beta / (alpha + beta)
-    if not 0.0 < eta <= 1.0 + _FAMILY_TOL:
-        raise UnsupportedStateError(f"recovered transmissivity {eta:.6f} is unphysical")
-    eta = min(eta, 1.0)
-    zeta = 0.5 * math.log((2.0 * v_max - (1.0 - eta)) / eta)
-    # eigenvector of the squeezed (smallest) eigenvalue gives the axis
-    angle = math.atan2(vecs[1, 0], vecs[0, 0])
-    return zeta, eta, angle
-
-
-def _two_mode_family(cov: np.ndarray) -> tuple[float, float]:
-    """Recover (zeta, eta) of a symmetric two-mode squeezed state after equal
-    loss on both modes, or raise UnsupportedStateError."""
-    d = float(cov[0, 0])
-    c = float(cov[0, 2])
-    pattern = np.array(
-        [
-            [d, 0.0, c, 0.0],
-            [0.0, d, 0.0, -c],
-            [c, 0.0, d, 0.0],
-            [0.0, -c, 0.0, d],
-        ]
-    )
-    if np.max(np.abs(cov - pattern)) > _FAMILY_TOL:
-        raise UnsupportedStateError(
-            "covariance does not match the lossy two-mode-squeezed pattern"
-        )
-    gamma = 2.0 * d - 1.0
-    if abs(gamma) < _FAMILY_TOL and abs(c) < _FAMILY_TOL:
-        return 0.0, 1.0
-    if c < 0:
-        raise UnsupportedStateError("positions anticorrelated; outside the family")
-    if gamma <= _FAMILY_TOL:
-        raise UnsupportedStateError("no thermal excess; outside the family")
-    eta = (4.0 * c * c - gamma * gamma) / (2.0 * gamma)
-    if not 0.0 < eta <= 1.0 + _FAMILY_TOL:
-        raise UnsupportedStateError(f"recovered transmissivity {eta:.6f} is unphysical")
-    eta = min(eta, 1.0)
-    zeta = 0.5 * math.asinh(2.0 * c / eta)
-    return zeta, eta
+    Filled one slab of the first index at a time by the recurrence
+    G_{k+e_0} = sum_j a_0j sqrt(k_j) G_{k-e_j} / sqrt(k_0 + 1).  On the
+    k_0 = 0 slab every j = 0 term vanishes, so that slab is the same table
+    for a[1:, 1:].
+    """
+    n = len(a)
+    if n == 0:
+        return np.array(t, dtype=complex)
+    g = np.zeros((dim,) * n, dtype=complex)
+    g[0] = _hermite_table(a[1:, 1:], t, dim)
+    root = np.sqrt(np.arange(dim))
+    for k in range(dim - 1):
+        # g[-1] is still all zeros at k = 0, and root[0] = 0 besides
+        step = a[0, 0] * root[k] * g[k - 1]
+        for j in range(1, n):
+            # sqrt(k_j) G_{k-e_j}: the slab shifted up one level on its axis j - 1
+            np.moveaxis(step, j - 1, -1)[..., 1:] += a[0, j] * root[1:] * np.moveaxis(g[k], j - 1, -1)[..., :-1]
+        g[k + 1] = step / root[k + 1]
+    return g
 
 
 def gaussian_to_fock(
     state: GaussianState, cutoff: int, tail_tol: float = 1e-3
 ) -> tuple[FockDensityMatrix, TruncationReport]:
-    """Convert a covariance-matrix state of the pipeline family to Fock form.
+    """Convert a zero-mean 1- or 2-mode Gaussian state to Fock form, exactly.
 
-    Supported states: single-mode squeezed vacuum plus loss (any squeezing
-    axis) and the symmetric two-mode squeezed state after equal loss on both
-    modes.  Anything else raises UnsupportedStateError.  The state is built
-    at a working cutoff above the requested one, the discarded tail is
-    measured, and the result is truncated down, so every conversion comes
-    with an explicit TruncationReport.  The intermediate states at the
-    working cutoff are made Hermitian after each step, as the
-    FockDensityMatrix constructor makes them, but only the truncated result
-    is validated: the channels keep states positive.
+    <m|rho|n> = T haf(A_{m+n}) / sqrt(m! n!) with Q = W V W^dag + I/2,
+    A = X (I - Q^-1)^* and T = det(Q)^(-1/2), where W maps (x1, p1, x2, p2)
+    to (a1, a2, a1^dag, a2^dag) and X swaps the a and a^dag halves (Kruse et
+    al., PRA 100, 032326 (2019); with zero mean the loop hafnian is a
+    hafnian).  The hafnians come from the Hermite recurrence of Miatto &
+    Quesada, Quantum 4, 366 (2020).  Every covariance, pure or mixed,
+    squeezed, thermal or separable, takes this one path.  Entries are
+    computed up to cutoff + 2 per mode, so the TruncationReport sees two
+    levels past the cutoff, and only the truncated result is validated.
+    Other mode counts raise UnsupportedStateError.
     """
-    if state.n_modes not in (1, 2):
+    n = state.n_modes
+    if n not in (1, 2):
         raise UnsupportedStateError("only 1- and 2-mode states are supported")
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    margin = 8
-    work = cutoff + margin
+    w = np.vstack([np.kron(np.eye(n), [[1.0, 1j]]), np.kron(np.eye(n), [[1.0, -1j]])]) / math.sqrt(2.0)
+    q = w @ state.cov @ w.conj().T + 0.5 * np.eye(2 * n)
+    a = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(n)) @ (np.eye(2 * n) - np.linalg.inv(q)).conj()
+    # two levels past the cutoff: a squeezed state's odd levels are empty
+    dim, wdim = cutoff + 1, cutoff + 3
+    table = _hermite_table(a, 1.0 / math.sqrt(np.linalg.det(q).real), wdim)
 
-    n = state.n_modes
-    if n == 1:
-        zeta, eta, angle = _single_mode_family(state.cov)
-        matrix = _hermitian_part(_squeezed_vacuum(zeta, work))
-        if angle != 0.0:
-            matrix = _hermitian_part(_rotate(matrix, 1, 0, angle))
-    else:
-        zeta, eta = _two_mode_family(state.cov)
-        matrix = _hermitian_part(_tmsv(zeta, work))
-    if eta < 1.0:
-        for mode in range(n):
-            matrix = _hermitian_part(_loss(matrix, n, mode, eta))
-
-    # one axis per mode: keep photon numbers <= cutoff on every axis and
+    # rows are kets: keep photon numbers <= cutoff on every axis and
     # discard each diagonal entry with some photon number above it
-    dim, wdim = cutoff + 1, work + 1
-    kept = matrix.reshape((wdim,) * 2 * n)[(slice(dim),) * 2 * n].reshape(dim**n, dim**n)
+    kept = table[(slice(dim),) * 2 * n].reshape(dim**n, dim**n)
     discarded = np.ones((wdim,) * n, dtype=bool)
     discarded[(slice(dim),) * n] = False
-    discarded_diag = np.diag(matrix).real.reshape((wdim,) * n)[discarded]
-    trace_kept = float(np.trace(kept).real)
+    discarded_diag = np.diag(table.reshape(wdim**n, wdim**n)).real.reshape((wdim,) * n)[discarded]
     report = TruncationReport(
-        trace_deficit=max(0.0, 1.0 - trace_kept),
+        trace_deficit=max(0.0, 1.0 - float(np.trace(kept).real)),
         largest_discarded_population=float(discarded_diag.max()),
     )
-    out = FockDensityMatrix(state.n_modes, cutoff, kept, tail_tol)
-    return out, report
+    return FockDensityMatrix(n, cutoff, kept, tail_tol), report

@@ -14,6 +14,7 @@ import eprsim
 from eprsim.cli import _write_json, build_parser, main
 from eprsim import fitting
 from eprsim.fitting import fit_sinusoid, levenberg_marquardt
+from eprsim.fock import gaussian_to_fock, mean_photon
 from eprsim.gaussian import PipelineConfig, epr_pipeline, vacuum
 from eprsim.homodyne import PhaseSchedule, SweepConfig, VarianceTrace, sample
 
@@ -184,6 +185,9 @@ class TestTomographyCommand:
         assert rc == 0
         summary = read_json(tmp_path / "tomo_summary.json")
         assert summary["reference"]["fidelity"] > 0.97
+        # the reference is the library's exact conversion of the same state
+        reference, _ = gaussian_to_fock(state, 3)
+        assert summary["reference"]["mean_photon"] == [mean_photon(reference, m) for m in range(2)]
         for value in summary["mean_photon"]:
             assert abs(value - 0.1032103272623489) < 0.02
         diagnostics = read_json(tmp_path / "tomo_diagnostics.json")
@@ -261,6 +265,21 @@ class TestTomographyCommand:
         )
         assert rc == 4
         assert "reference comparison needs a 2-mode dataset" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ref_zeta", ["2.0", "1e6"], ids=["trace-budget", "overflow"])
+    def test_reference_beyond_cutoff_before_reconstructing(self, tmp_path, capsys, monkeypatch, ref_zeta):
+        config = SweepConfig(phases=(PhaseSchedule(0.0, 1e-3), PhaseSchedule(0.5, 1.3e-3)), n_samples=2000, seed=63)
+        data_path = tmp_path / "two_mode.csv"
+        sample(vacuum(2), config).to_csv(data_path)
+        monkeypatch.setattr("eprsim.cli.reconstruct", lambda *a: pytest.fail("reconstruct ran"))
+        out = tmp_path / "untouched"
+        rc = main(
+            ["tomography", "--input", str(data_path), "--cutoff", "4", "--ref-zeta", ref_zeta, "--ref-eta", "0.5",
+             "--out", str(out)]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("eprsim: invalid parameters: ")
         assert not out.exists()
 
     def test_missing_reference_flag_pair(self, tmp_path, capsys):

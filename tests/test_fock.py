@@ -7,8 +7,6 @@ from scipy.linalg import expm
 from eprsim.errors import UnsupportedStateError
 from eprsim.fock import (
     FockDensityMatrix,
-    _single_mode_family,
-    _two_mode_family,
     destroy,
     fidelity,
     gaussian_to_fock,
@@ -19,7 +17,16 @@ from eprsim.fock import (
     squeezed_vacuum_fock,
     tmsv_fock,
 )
-from eprsim.gaussian import PipelineConfig, epr_pipeline, loss, phase_shift, squeeze, vacuum
+from eprsim.gaussian import (
+    PipelineConfig,
+    beamsplit,
+    epr_pipeline,
+    loss,
+    phase_shift,
+    reduce_modes,
+    squeeze,
+    vacuum,
+)
 
 
 def squeeze_operator_oracle(zeta, dim):
@@ -299,74 +306,79 @@ class TestGaussianToFock:
         assert report.largest_discarded_population == pytest.approx((1 - lam2) * lam2**4, rel=1e-12)
         assert report.trace_deficit == pytest.approx(lam2**4, rel=1e-9)
 
+    def test_report_reaches_two_levels(self):
+        # at an even cutoff a squeezed vacuum's first occupied discarded
+        # level is cutoff + 2
+        _, report = gaussian_to_fock(squeeze(vacuum(1), 0, 0.6), 4, tail_tol=1.0)
+        populations = squeezed_vacuum_fock(0.6, 6, tail_tol=1.0).matrix.diagonal().real
+        assert report.largest_discarded_population == pytest.approx(populations[6], rel=1e-12)
+
+    @pytest.fixture(scope="class")
+    def deep_lossy_tmsv(self):
+        """(state, closed-form chain at cutoff 40) pairs: at zeta <= 0.7 the
+        TMSV fills level n with tanh(zeta)^(2n), so the chain's own tail
+        stays below 1e-16.  Each chain costs seconds, so the cutoffs share
+        a lossy one and a pure one."""
+        rng = np.random.default_rng(40)
+        zeta, eta = rng.uniform(0.0, 0.7), rng.uniform(0.0, 1.0)
+        lossy = loss_fock(loss_fock(tmsv_fock(0.7, 40, tail_tol=1.0), 0, eta), 1, eta)
+        return [
+            (epr_pipeline(PipelineConfig(zeta=0.7, eta=eta)), lossy.matrix.reshape((41,) * 4)),
+            (epr_pipeline(PipelineConfig(zeta=zeta)), tmsv_fock(zeta, 40, tail_tol=1.0).matrix.reshape((41,) * 4)),
+        ]
+
     @pytest.mark.parametrize("cutoff", [2, 4, 7])
-    def test_equals_validated_public_chain(self, cutoff):
-        # the conversion builds its working-cutoff states as raw matrices;
-        # the same steps through the validating public functions, then
-        # truncated, give the same bits
-        work, dim = cutoff + 8, cutoff + 1
+    def test_equals_validated_public_chain(self, deep_lossy_tmsv, cutoff):
+        # the closed-form chains at a deep cutoff, then truncated, are exact
+        # to rounding; squeezed vacuum fills level n with ~tanh(zeta)^n, so
+        # its chain needs twice the TMSV's cutoff
+        dim = cutoff + 1
+        for state, chain in deep_lossy_tmsv:
+            kept = chain[:dim, :dim, :dim, :dim].reshape(dim**2, dim**2)
+            rho, _ = gaussian_to_fock(state, cutoff, tail_tol=1.0)
+            np.testing.assert_allclose(rho.matrix, kept, rtol=0, atol=1e-14)
         rng = np.random.default_rng(cutoff)
-        for zeta, eta, angle in zip(rng.uniform(0.0, 1.2, 8), [1.0, *rng.uniform(0.05, 1.0, 7)], rng.uniform(0, 3, 8)):
-            state = epr_pipeline(PipelineConfig(zeta=zeta, eta=eta))
-            z, e = _two_mode_family(state.cov)
-            chain = tmsv_fock(z, work, tail_tol=1.0)
-            if e < 1.0:
-                chain = loss_fock(loss_fock(chain, 0, e), 1, e)
-            kept = chain.matrix.reshape((work + 1,) * 4)[:dim, :dim, :dim, :dim].reshape(dim**2, dim**2)
-            assert gaussian_to_fock(state, cutoff, tail_tol=1.0)[0].matrix.tobytes() == kept.tobytes()
-
+        for zeta, eta, angle in zip(rng.uniform(0.0, 0.7, 8), [1.0, *rng.uniform(0.0, 1.0, 7)], rng.uniform(0, 3, 8)):
             state = loss(squeeze(vacuum(1), 0, zeta, angle), 0, eta)
-            z, e, a = _single_mode_family(state.cov)
-            chain = loss_fock(rotate_fock(squeezed_vacuum_fock(z, work, tail_tol=1.0), 0, a), 0, e)
-            kept = chain.matrix[:dim, :dim]
-            assert gaussian_to_fock(state, cutoff, tail_tol=1.0)[0].matrix.tobytes() == kept.tobytes()
+            chain = loss_fock(rotate_fock(squeezed_vacuum_fock(zeta, 80, tail_tol=1.0), 0, angle), 0, eta)
+            rho, _ = gaussian_to_fock(state, cutoff, tail_tol=1.0)
+            np.testing.assert_allclose(rho.matrix, chain.matrix[:dim, :dim], rtol=0, atol=1e-14)
 
-    def test_thermal_mode_unsupported(self):
-        # a reduced pipeline mode is thermal: not squeezed vacuum + loss
-        from eprsim.gaussian import reduce_modes
+    def test_near_vacuum_squeezing(self):
+        # a covariance this close to the vacuum once read as a transmissivity
+        # above 1 and was rejected
+        rho, _ = gaussian_to_fock(loss(squeeze(vacuum(1), 0, 1.36e-6), 0, 1.0), 4)
+        np.testing.assert_allclose(rho.matrix, squeezed_vacuum_fock(1.36e-6, 4).matrix, rtol=0, atol=1e-15)
 
-        thermal = epr_pipeline(PipelineConfig(zeta=0.44, eta=0.5))
-        reduced = reduce_modes(thermal, (0,))
-        with pytest.raises(UnsupportedStateError):
-            gaussian_to_fock(reduced, 6)
+    def test_thermal_mode_bose_einstein(self):
+        # a reduced pipeline mode is thermal: diagonal, n^k / (n + 1)^(k + 1)
+        reduced = reduce_modes(epr_pipeline(PipelineConfig(zeta=0.44, eta=0.5)), (0,))
+        nbar = 0.5 * math.sinh(0.44) ** 2
+        rho, _ = gaussian_to_fock(reduced, 6)
+        expected = np.diag([nbar**k / (nbar + 1) ** (k + 1) for k in range(7)])
+        np.testing.assert_allclose(rho.matrix, expected, rtol=0, atol=1e-15)
 
-    def test_separable_two_mode_unsupported(self):
+    def test_separable_two_mode_is_product(self):
         state = epr_pipeline(PipelineConfig(zeta=0.44, relative_phase=0.0))
+        rho, _ = gaussian_to_fock(state, 6)
+        modes = [gaussian_to_fock(reduce_modes(state, (m,)), 6)[0].matrix for m in range(2)]
+        np.testing.assert_allclose(rho.matrix, np.kron(*modes), rtol=0, atol=1e-15)
+
+    def test_states_outside_the_pipeline_round_trip_covariance(self):
+        # unequal squeezers at arbitrary angles, asymmetric loss, then
+        # interference and a phase shift; zeta <= 0.4 keeps what the
+        # cutoff-14 quadrature operators miss below 1e-8
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            z1, z2, eta1, eta2 = *rng.uniform(0.0, 0.4, 2), *rng.uniform(0.2, 1.0, 2)
+            state = squeeze(squeeze(vacuum(2), 0, z1, rng.uniform(0, math.pi)), 1, z2, rng.uniform(0, math.pi))
+            state = phase_shift(beamsplit(loss(loss(state, 0, eta1), 1, eta2), 0, 1), 1, rng.uniform(0, math.pi))
+            rho, _ = gaussian_to_fock(state, 14)
+            np.testing.assert_allclose(quad_covariance(rho), state.cov, rtol=0, atol=1e-8)
+
+    def test_three_modes_unsupported(self):
         with pytest.raises(UnsupportedStateError):
-            gaussian_to_fock(state, 6)
-
-
-def _family_draws(seed):
-    """200 (zeta, eta) pairs, the last 10 with eta at or just below 1, and
-    the generator for further draws."""
-    rng = np.random.default_rng(seed)
-    zetas = rng.uniform(0.01, 1.5, 200)
-    etas = np.concatenate([rng.uniform(0.01, 1.0, 190), 1.0 - np.logspace(-12, -3, 7), [1.0] * 3])
-    return zetas, etas, rng
-
-
-class TestFamilyRecovery:
-    """The recovered family parameters rebuild the state's covariance."""
-
-    def test_single_mode(self):
-        zetas, etas, rng = _family_draws(71)
-        worst = 0.0
-        for zeta, eta, angle in zip(zetas, etas, rng.uniform(-math.pi, math.pi, len(zetas))):
-            state = loss(squeeze(vacuum(1), 0, zeta, angle), 0, eta)
-            z, e, a = _single_mode_family(state.cov)
-            rebuilt = loss(squeeze(vacuum(1), 0, z, a), 0, e)
-            worst = max(worst, np.max(np.abs(rebuilt.cov - state.cov)))
-        assert worst <= 1e-12
-
-    def test_two_mode(self):
-        zetas, etas, _ = _family_draws(72)
-        worst = 0.0
-        for zeta, eta in zip(zetas, etas):
-            state = epr_pipeline(PipelineConfig(zeta=zeta, eta=eta))
-            z, e = _two_mode_family(state.cov)
-            rebuilt = epr_pipeline(PipelineConfig(zeta=z, eta=e))
-            worst = max(worst, np.max(np.abs(rebuilt.cov - state.cov)))
-        assert worst <= 1e-12
+            gaussian_to_fock(vacuum(3), 4)
 
 
 class TestRotateFock:

@@ -29,7 +29,7 @@ from .errors import (
     IllPosedFitError,
     UnsupportedStateError,
 )
-from .fitting import fit_epr, fit_single, squeezing_db
+from .fitting import MIN_BINS, fit_epr, fit_single, squeezing_db
 from .fock import fidelity, gaussian_to_fock, mean_photon
 from .gaussian import PipelineConfig, epr_pipeline, epr_variance, loss, squeeze, vacuum
 from .homodyne import PhaseSchedule, QuadratureDataset, SweepConfig, VarianceTrace, binned_variance, sample
@@ -156,7 +156,13 @@ def _write_outputs(args, files: dict) -> Path:
 
 def _sweep_config(args, *held_phases: float) -> SweepConfig:
     """Mode 1 swept from ``--theta0`` at ``--rate`` (default: 4π over
-    ``--samples``), each further mode held at its phase."""
+    ``--samples``), each further mode held at its phase.  Raises ValueError,
+    before anything is sampled, if the sweep would leave too few bins to fit."""
+    if (n_bins := args.samples // args.window) < MIN_BINS:
+        raise ValueError(
+            f"--samples {args.samples} and --window {args.window} give {n_bins} variance bins; "
+            f"the fit needs at least {MIN_BINS}"
+        )
     if args.rate is None:
         args.rate = 4.0 * math.pi / args.samples
     phases = (PhaseSchedule(args.theta0, args.rate), *(PhaseSchedule(theta, 0.0) for theta in held_phases))
@@ -241,7 +247,6 @@ def _cmd_tomography(args) -> int:
         cutoff=args.cutoff,
         max_iterations=args.max_iterations,
         stop_tol=args.stop_tol,
-        dilution=args.dilution,
     )
     if (args.ref_zeta is None) != (args.ref_eta is None):
         raise ValueError("--ref-zeta and --ref-eta must be given together")
@@ -390,10 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=_positive_int, default=4, help="Fock cutoff per mode")
     p.add_argument("--max-iterations", type=_positive_int, default=2000)
     p.add_argument("--stop-tol", type=_positive_float, default=1e-8)
-    p.add_argument(
-        "--dilution", type=_positive_float, default=1.0,
-        help="MaxLik starting and stop-test step in (0, 1]; steps over-relax up to 4",
-    )
     p.add_argument("--ref-zeta", type=_nonneg_float, default=None, help="reference state squeezing")
     p.add_argument("--ref-eta", type=_unit_interval, default=None, help="reference state transmissivity")
     _add_common_output_options(p, "tomo")

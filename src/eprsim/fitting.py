@@ -42,6 +42,7 @@ import numpy as np
 from .errors import IllPosedFitError
 from .homodyne import VarianceTrace
 
+MIN_BINS = 8  # fewest variance bins a trace fit accepts
 _FLAT_TOL = 1e-9
 _SPACING_RTOL = 1e-9  # allowed deviation of a bin spacing from the mean spacing
 # first damping, relative to the scaled diagonal; Madsen, Nielsen & Tingleff (2004,
@@ -282,16 +283,16 @@ def _squeezer_fit(tone: _Tone, theta0: float, rate: float, n_residuals: int) -> 
 def fit_single(trace: VarianceTrace) -> FitResult:
     """Fit the single-mode variance model to a trace.
 
-    Raises IllPosedFitError when fewer than 8 bins are supplied, the fitted
-    sweep covers less than one full period of 2 theta or the best fit has
-    zeta unbounded (eta -> 0).  A flat trace cannot identify eta and is
+    Raises IllPosedFitError when fewer than MIN_BINS bins are supplied, the
+    fitted sweep covers less than one full period of 2 theta or the best fit
+    has zeta unbounded (eta -> 0).  A flat trace cannot identify eta and is
     returned with the degenerate flag instead.  Raises ValueError when the
     bin centers are not strictly increasing and evenly spaced.
     """
     n = np.asarray(trace.bin_center_index, dtype=float)
     v = np.asarray(trace.variance, dtype=float)
-    if len(v) < 8:
-        raise IllPosedFitError(f"need at least 8 bins, got {len(v)}")
+    if len(v) < MIN_BINS:
+        raise IllPosedFitError(f"need at least {MIN_BINS} bins, got {len(v)}")
     grid = _bin_offsets(n)
     if np.ptp(v) < _FLAT_TOL * max(1.0, abs(v.mean())):
         return _flat_result(v)
@@ -310,8 +311,8 @@ def fit_epr(trace_sum: VarianceTrace, trace_diff: VarianceTrace) -> FitResult:
     (zeta, eta, theta0, rate); theta0 is the offset of theta1 + theta2.
 
     Raises ValueError unless both traces share strictly increasing, evenly
-    spaced bin centers, and IllPosedFitError when fewer than 8 bins are
-    supplied or the best fit has zeta unbounded (eta -> 0).
+    spaced bin centers, and IllPosedFitError when fewer than MIN_BINS bins
+    are supplied or the best fit has zeta unbounded (eta -> 0).
     """
     n_sum = np.asarray(trace_sum.bin_center_index, dtype=float)
     n_diff = np.asarray(trace_diff.bin_center_index, dtype=float)
@@ -319,8 +320,8 @@ def fit_epr(trace_sum: VarianceTrace, trace_diff: VarianceTrace) -> FitResult:
         raise ValueError("sum and difference traces must share their binning")
     v_sum = np.asarray(trace_sum.variance, dtype=float)
     v_diff = np.asarray(trace_diff.variance, dtype=float)
-    if len(n_sum) < 8:
-        raise IllPosedFitError(f"need at least 8 bins, got {len(n_sum)}")
+    if len(n_sum) < MIN_BINS:
+        raise IllPosedFitError(f"need at least {MIN_BINS} bins, got {len(n_sum)}")
     grid = _bin_offsets(n_sum)
     if np.ptp(0.5 * (v_sum - v_diff)) < _FLAT_TOL * max(1.0, abs(v_sum.mean())):
         return _flat_result(np.concatenate([v_sum, v_diff]))

@@ -8,10 +8,8 @@ Per-record arrays are mode-major: a dataset's `thetas` and `xs` keep their
 (n_samples, n_modes) shape, but each mode's column is contiguous (Fortran
 order) however the arrays were built, so per-mode arithmetic runs over
 contiguous memory.  Only the normals are drawn record by record,
-(z_1[, z_2]) per record, which fixes the PCG64 stream order.  The theta
-centres of a trace sum each window pairwise for one mode (numpy's mean) and
-sequentially, in index order from +0.0, for two; fixed-seed trace bytes
-depend on that order.
+(z_1[, z_2]) per record, which fixes the PCG64 stream order.  A trace's
+theta centres are numpy's pairwise mean of each mode's windows.
 
 CSV formats (ASCII, LF line endings, 17 significant digits):
 
@@ -356,15 +354,6 @@ def binned_variance(data: QuadratureDataset, window: int, target: str) -> Varian
     chunks = values[:used].reshape(n_bins, window)
     variance = chunks.var(axis=1, ddof=1)
     idx = np.arange(used, dtype=float).reshape(n_bins, window).mean(axis=1)
-    theta_centers = np.empty((data.n_modes, n_bins))
-    for row, column in zip(theta_centers, data.thetas.T):
-        windows = column[:used].reshape(n_bins, window)
-        if data.n_modes == 1:
-            windows.mean(axis=1, out=row)
-        else:
-            # trace bytes are pinned: two modes sum each window in index
-            # order from +0.0 (cumsum from the first value, then + 0.0 for
-            # an all -0.0 window), one mode pairwise (numpy's mean)
-            np.divide(np.cumsum(windows, axis=1)[:, -1] + 0.0, window, out=row)
+    theta_centers = data.thetas.T[:, :used].reshape(data.n_modes, n_bins, window).mean(axis=2)
     counts = np.full(n_bins, window, dtype=int)
     return VarianceTrace(idx, theta_centers.T, variance, counts)

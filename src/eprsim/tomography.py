@@ -9,11 +9,11 @@ half the d, so accepted iterations are never worse than their predecessor.
 
 The maximum-likelihood states of squeezed data are rank-deficient, where
 the plain map crawls, so d adapts (Rehacek et al., PRA 75, 042108 (2007)):
-it starts at the configured dilution, is carried from step to step, doubles
-after every step accepted at its first try, up to _DILUTION_CAP, and halves
-on a rejection.  The stop test is the plain one: a relative gain below
-stop_tol ends the run only on a step started at the configured dilution;
-a small gain of any other step resets d to it and tests again.
+it starts at 1, is carried from step to step, doubles after every step
+accepted at its first try, up to _DILUTION_CAP, and halves on a rejection.
+The stop test is the plain map's: a relative gain below stop_tol ends the
+run only on a step started at d = 1; a small gain of any other step resets
+d to 1 and tests again.
 
 Each projector factorises over the modes, Pi = |a><a| (x) |b><b|, and each
 factor is written in an orthonormal Hermitian basis of the
@@ -165,8 +165,6 @@ class TomographyConfig:
     cutoff: int = 5
     max_iterations: int = 2000
     stop_tol: float = 1e-8
-    # starting step and stop-test step in (0, 1]; steps over-relax up to 4
-    dilution: float = 1.0
 
     def __post_init__(self):
         if self.cutoff < 2:
@@ -175,8 +173,6 @@ class TomographyConfig:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.stop_tol < math.inf:
             raise ValueError("stop_tol must be > 0 and finite")
-        if not 0.0 < self.dilution <= 1.0:
-            raise ValueError("dilution must be in (0, 1]")
 
 
 @dataclass
@@ -212,9 +208,9 @@ def reconstruct(
     """Maximum-likelihood density matrix from a quadrature dataset.
 
     Starts from the maximally mixed state and iterates the diluted
-    fixed-point map with an adaptive step until a step started at
-    config.dilution gains less than config.stop_tol relative log-likelihood,
-    or config.max_iterations is reached.  Raises IllConditionedDatumError,
+    fixed-point map with an adaptive step until a step started at d = 1 (the
+    plain map) gains less than config.stop_tol relative log-likelihood, or
+    config.max_iterations is reached.  Raises IllConditionedDatumError,
     naming the datum, if some record has effectively zero likelihood under
     a candidate iterate.
     """
@@ -238,7 +234,7 @@ def reconstruct(
     history = [loglik]
     converged = False
     iterations = 0
-    step = config.dilution
+    step = 1.0
 
     for _ in range(config.max_iterations):
         r_op = features.weighted_sum(1.0 / (m_records * p))
@@ -265,12 +261,12 @@ def reconstruct(
         loglik = loglik_new
         history.append(loglik)
         if gain <= config.stop_tol * max(1.0, abs(loglik)):
-            if step == config.dilution:
+            if step == 1.0:
                 converged = True
                 break
             # a small over- or under-relaxed gain proves nothing: re-test
-            # with the configured step
-            step = config.dilution
+            # with the plain map
+            step = 1.0
         elif dilution == step:
             step = min(2.0 * step, _DILUTION_CAP)
         else:

@@ -179,7 +179,7 @@ def test_criterion_4_thermal_reduction(epr_sweep_run):
 
 def test_criterion_5_tomography_round_trip(tomography_run):
     rho, diagnostics, elapsed = tomography_run
-    reference = loss_fock(loss_fock(tmsv_fock(0.44, 4), 0, 0.5), 1, 0.5)
+    reference, _ = gaussian_to_fock(epr_pipeline(PipelineConfig(zeta=0.44, eta=0.5)), 4)
     fid = fidelity(rho, reference)
     mp = [mean_photon(rho, m) for m in range(2)]
     _criterion(

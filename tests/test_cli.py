@@ -71,11 +71,11 @@ class TestSingleSweep:
 
     @pytest.mark.parametrize(
         "command, ill_posed",
-        [("single-sweep", ["--rate", "1e-4"]), ("epr-sweep", ["--window", "4000"])],
+        [("single-sweep", ["--rate", "1e-4"]), ("epr-sweep", ["--rate", "0"])],
         ids=["single-sweep", "epr-sweep"],
     )
     def test_failed_fit_creates_no_directory(self, tmp_path, capsys, command, ill_posed):
-        # under one period of 2*theta, or fewer than 8 bins: the fit is ill-posed
+        # under one period of 2*theta, or no sweep at all: the fit is ill-posed
         out = tmp_path / "untouched"
         rc = main([command, "--samples", "20000", "--window", "1000", *ill_posed, "--out", str(out)])
         assert rc == 4
@@ -95,6 +95,30 @@ class TestSingleSweep:
             f"eprsim: warning: {command} dropped 500 trailing samples (--samples not a multiple of --window)"
         ]
         assert run("20000") == []
+
+    @pytest.mark.parametrize(
+        "command, samples, window, n_bins",
+        [("epr-sweep", "4000", None, 2), ("single-sweep", "1000", "2000", 0), ("epr-sweep", "7999", "1000", 7)],
+    )
+    def test_too_few_bins_rejected_before_sampling(
+        self, tmp_path, capsys, monkeypatch, command, samples, window, n_bins
+    ):
+        def no_sampling(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr("eprsim.cli.sample", no_sampling)
+        out = tmp_path / "untouched"
+        size = ["--samples", samples] + (["--window", window] if window else [])
+        assert main([command, *size, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("eprsim: invalid parameters: ")
+        assert f"give {n_bins} variance bins; the fit needs at least {fitting.MIN_BINS}" in err
+        assert not out.exists()
+
+    def test_exactly_min_bins_runs(self, tmp_path):
+        # the console-script check of CI: 4000 records in windows of 500
+        samples = str(500 * fitting.MIN_BINS)
+        assert main(["epr-sweep", "--samples", samples, "--window", "500", "--out", str(tmp_path)]) == 0
 
 
 class TestEprSweep:
@@ -585,7 +609,8 @@ REPLAY_CASES = {
 
 # The manifest parameters of each case as the hand-written manifests recorded
 # them, except that tomography without a reference no longer records
-# ref_zeta/ref_eta as null and design now records its prefix.
+# ref_zeta/ref_eta as null, tomography no longer has a dilution option and
+# design now records its prefix.
 PINNED_PARAMETERS = {
     "single-sweep": {
         "zeta": 0.44, "eta": 0.52, "samples": 20000, "theta0": -0.7, "rate": 0.0006283185307179586,
@@ -598,11 +623,11 @@ PINNED_PARAMETERS = {
     },
     "tomography": {
         "input": "{inputs}/epr_data.csv", "cutoff": 2, "max_iterations": 30, "stop_tol": 1e-08,
-        "dilution": 1.0, "prefix": "tomo",
+        "prefix": "tomo",
     },
     "tomography-reference": {
         "input": "{inputs}/epr_data.csv", "cutoff": 3, "max_iterations": 30, "stop_tol": 1e-08,
-        "dilution": 1.0, "ref_zeta": 0.44, "ref_eta": 0.5, "prefix": "tomo",
+        "ref_zeta": 0.44, "ref_eta": 0.5, "prefix": "tomo",
     },
     "fit-single": {"kind": "single", "trace": "{inputs}/single_trace.csv", "prefix": "fit"},
     "fit-epr": {

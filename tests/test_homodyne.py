@@ -478,7 +478,10 @@ def interleaved_sample(state, config: SweepConfig):
 
 
 def interleaved_binned_variance(thetas, xs, window, target):
-    """`binned_variance` on record-major arrays: (index, theta centres, variance)."""
+    """`binned_variance` on record-major arrays: (index, theta centres, variance).
+
+    Two modes' theta centres are each column's own numpy mean, the 1-mode rule.
+    """
     if target == "mode1":
         values = xs[:, 0]
     elif target == "mode2":
@@ -491,7 +494,11 @@ def interleaved_binned_variance(thetas, xs, window, target):
     used = n_bins * window
     variance = values[:used].reshape(n_bins, window).var(axis=1, ddof=1)
     idx = np.arange(used, dtype=float).reshape(n_bins, window).mean(axis=1)
-    theta_centers = thetas[:used].reshape(n_bins, window, thetas.shape[1]).mean(axis=1)
+    if thetas.shape[1] == 1:
+        theta_centers = thetas[:used].reshape(n_bins, window, 1).mean(axis=1)
+    else:
+        columns = [np.ascontiguousarray(thetas[:used, m]).reshape(n_bins, window) for m in range(2)]
+        theta_centers = np.column_stack([column.mean(axis=1) for column in columns])
     return idx, theta_centers, variance
 
 
@@ -542,6 +549,20 @@ class TestModeMajorLayout:
                 assert same_bits(trace.variance, variance)
             compared += 1
         assert compared >= 100
+
+    def test_two_mode_theta_centres_are_the_one_mode_ones(self):
+        compared = 0
+        for state, config, window in layout_cases():
+            if config.n_modes != 2 or window > config.n_samples:
+                continue
+            data = sample(state, config)
+            trace = binned_variance(data, window, "sum")
+            for m in range(2):
+                single = QuadratureDataset(data.thetas[:, [m]], data.xs[:, [m]])
+                expected = binned_variance(single, window, "mode1").theta_centers
+                assert same_bits(trace.theta_centers[:, [m]], expected)
+            compared += 1
+        assert compared >= 50
 
     @staticmethod
     def assert_mode_columns(data):

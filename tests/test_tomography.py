@@ -305,8 +305,4 @@ class TestTomographyConfig:
             with pytest.raises(ValueError, match="stop_tol"):
                 TomographyConfig(stop_tol=stop_tol)
         with pytest.raises(ValueError):
-            TomographyConfig(dilution=0.0)
-        with pytest.raises(ValueError):
-            TomographyConfig(dilution=1.5)
-        with pytest.raises(ValueError):
             TomographyConfig(max_iterations=0)

@@ -154,10 +154,12 @@ def _write_outputs(args, files: dict) -> Path:
     return outdir
 
 
-def _sweep_config(args, *held_phases: float) -> SweepConfig:
+def _sweep_config(args, harmonic: int, *held_phases: float) -> SweepConfig:
     """Mode 1 swept from ``--theta0`` at ``--rate`` (default: 4π over
-    ``--samples``), each further mode held at its phase.  Raises ValueError,
-    before anything is sampled, if the sweep would leave too few bins to fit."""
+    ``--samples``), each further mode held at its phase.  The fitted trace's
+    tone is ``harmonic`` × θ₁.  Raises ValueError, before anything is
+    sampled, if the sweep would leave too few bins to fit, or two or fewer
+    bins per period of the tone (at or past its Nyquist frequency)."""
     if (n_bins := args.samples // args.window) < MIN_BINS:
         raise ValueError(
             f"--samples {args.samples} and --window {args.window} give {n_bins} variance bins; "
@@ -165,6 +167,14 @@ def _sweep_config(args, *held_phases: float) -> SweepConfig:
         )
     if args.rate is None:
         args.rate = 4.0 * math.pi / args.samples
+    if args.rate != 0.0:
+        per_period = 2.0 * math.pi / (harmonic * abs(args.rate) * args.window)
+        # isclose: the default rate at exactly 2 bins per period can round above 2
+        if per_period < 2.0 or math.isclose(per_period, 2.0):
+            raise ValueError(
+                f"--rate {args.rate:.6g} and --window {args.window} give {per_period:.3g} bins per period "
+                "of the fitted tone; the fit needs more than 2"
+            )
     phases = (PhaseSchedule(args.theta0, args.rate), *(PhaseSchedule(theta, 0.0) for theta in held_phases))
     return SweepConfig(phases=phases, n_samples=args.samples, seed=args.seed)
 
@@ -194,7 +204,7 @@ def _write_sweep(args, dataset, traces: dict, fit, fit_payload: dict) -> Path:
 
 
 def _cmd_single_sweep(args) -> int:
-    config = _sweep_config(args)
+    config = _sweep_config(args, 2)
     state = loss(squeeze(vacuum(1), 0, args.zeta), 0, args.eta)
 
     dataset = sample(state, config)
@@ -213,7 +223,7 @@ def _cmd_epr_sweep(args) -> int:
         eta=args.eta,
         mismatch=args.mismatch,
     )
-    config = _sweep_config(args, args.theta2)
+    config = _sweep_config(args, 1, args.theta2)
     state = epr_pipeline(pipeline)
 
     dataset = sample(state, config)
@@ -365,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=200_000)
     p.add_argument("--theta0", type=_finite_float, default=0.0, help="LO phase at sample 0 (rad)")
     p.add_argument(
-        "--rate", type=_finite_float, default=None, help="LO phase rate (rad/sample); default spans 2 periods"
+        "--rate", type=_finite_float, default=None, help="LO phase rate (rad/sample); default spans 4 trace periods"
     )
     p.add_argument("--window", type=_positive_int, default=2000, help="samples per variance bin")
     p.add_argument("--seed", type=_nonneg_int, default=1)
@@ -383,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=200_000)
     p.add_argument("--theta0", type=_finite_float, default=0.0, help="mode-1 LO phase at sample 0 (rad)")
     p.add_argument("--theta2", type=_finite_float, default=0.0, help="fixed mode-2 LO phase (rad)")
-    p.add_argument("--rate", type=_finite_float, default=None, help="mode-1 LO phase rate (rad/sample)")
+    p.add_argument(
+        "--rate", type=_finite_float, default=None, help="mode-1 LO phase rate (rad/sample); default spans 2 trace periods"
+    )
     p.add_argument("--window", type=_positive_int, default=2000)
     p.add_argument("--seed", type=_nonneg_int, default=1)
     p.add_argument("--write-dataset", action="store_true")

@@ -11,6 +11,13 @@ contiguous memory.  Only the normals are drawn record by record,
 (z_1[, z_2]) per record, which fixes the PCG64 stream order.  A trace's
 theta centres are numpy's pairwise mean of each mode's windows.
 
+Sampling and binning work `_BLOCK_ROWS` records at a time: `sample` fills
+its preallocated output a block of records at a time (drawing the uniforms
+block by block gives the stream of one draw), and `binned_variance` forms
+values and variances over groups of whole bins.  Every expression keeps its
+operation order, so the bytes are those of one whole-array pass, and peak
+memory is the output plus a few blocks of temporaries.
+
 CSV formats (ASCII, LF line endings, 17 significant digits):
 
 * dataset:  index,theta1,x1[,theta2,x2]
@@ -83,7 +90,7 @@ class SweepConfig:
         return out.T
 
 
-_BLOCK_ROWS = 16384  # rows formatted per write and parsed per step
+_BLOCK_ROWS = 16384  # records sampled, binned, formatted per write and parsed per step
 
 
 def _write_csv(path, header: str, row_format: str, columns: list[np.ndarray]) -> None:
@@ -295,8 +302,9 @@ def sample(state: GaussianState, config: SweepConfig) -> QuadratureDataset:
     For each record the vector (X_{1,theta1}[, X_{2,theta2}]) is drawn from
     the zero-mean Gaussian whose covariance is induced by the state and the
     scheduled phases, via a closed-form Cholesky factor per record.  The
-    normals are drawn record by record, (z_1[, z_2]) each, and every other
-    array is one contiguous column per mode.
+    records are drawn `_BLOCK_ROWS` at a time, the normals record by record,
+    (z_1[, z_2]) each, and every other array is one contiguous column per
+    mode.  A held phase's cos/sin are taken once, from its first record.
     """
     if state.n_modes != config.n_modes:
         raise ValueError(
@@ -306,23 +314,27 @@ def sample(state: GaussianState, config: SweepConfig) -> QuadratureDataset:
         raise ValueError("sampling supports 1 or 2 modes")
     thetas = config.thetas()
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    z = _standard_normals(rng, (config.n_samples, state.n_modes))
     x = np.empty((state.n_modes, config.n_samples))
     cov = state.cov
-    c1, s1 = np.cos(thetas[:, 0]), np.sin(thetas[:, 0])
-    l11 = np.sqrt(c1**2 * cov[0, 0] + 2 * c1 * s1 * cov[0, 1] + s1**2 * cov[1, 1])
-    np.multiply(l11, z[:, 0], out=x[0])
-    if state.n_modes == 2:
-        c2, s2 = np.cos(thetas[:, 1]), np.sin(thetas[:, 1])
-        s22 = c2**2 * cov[2, 2] + 2 * c2 * s2 * cov[2, 3] + s2**2 * cov[3, 3]
-        s12 = c1 * c2 * cov[0, 2] + c1 * s2 * cov[0, 3] + s1 * c2 * cov[1, 2] + s1 * s2 * cov[1, 3]
-        del c1, s1, c2, s2
-        l21 = np.divide(s12, l11, out=s12)
-        del l11
-        l22 = np.sqrt(np.clip(s22 - l21**2, 0.0, None))
-        del s22
-        np.multiply(l21, z[:, 0], out=x[1])
-        x[1] += l22 * z[:, 1]
+
+    def cos_sin(m: int, rows: slice):
+        phases = thetas[:1, m] if config.phases[m].rate == 0.0 else thetas[rows, m]
+        return np.cos(phases), np.sin(phases)
+
+    for start in range(0, config.n_samples, _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, config.n_samples))
+        z = _standard_normals(rng, (rows.stop - start, state.n_modes))
+        c1, s1 = cos_sin(0, rows)
+        l11 = np.sqrt(c1**2 * cov[0, 0] + 2 * c1 * s1 * cov[0, 1] + s1**2 * cov[1, 1])
+        np.multiply(l11, z[:, 0], out=x[0, rows])
+        if state.n_modes == 2:
+            c2, s2 = cos_sin(1, rows)
+            s22 = c2**2 * cov[2, 2] + 2 * c2 * s2 * cov[2, 3] + s2**2 * cov[3, 3]
+            s12 = c1 * c2 * cov[0, 2] + c1 * s2 * cov[0, 3] + s1 * c2 * cov[1, 2] + s1 * s2 * cov[1, 3]
+            l21 = s12 / l11
+            l22 = np.sqrt(np.clip(s22 - l21**2, 0.0, None))
+            np.multiply(l21, z[:, 0], out=x[1, rows])
+            x[1, rows] += l22 * z[:, 1]
     return QuadratureDataset(thetas, x.T)
 
 
@@ -331,7 +343,8 @@ def binned_variance(data: QuadratureDataset, window: int, target: str) -> Varian
 
     `target` selects mode1, mode2, or the sum/difference (x1 +/- x2)/sqrt(2).
     Records are grouped into consecutive bins of `window` samples; a trailing
-    remainder shorter than the window is dropped.
+    remainder shorter than the window is dropped.  Values and variances are
+    formed over groups of whole bins of about `_BLOCK_ROWS` records each.
     """
     if window < 2:
         raise ValueError("window must be >= 2")
@@ -339,21 +352,28 @@ def binned_variance(data: QuadratureDataset, window: int, target: str) -> Varian
         raise ValueError(f"target must be one of {_TARGETS}, got {target!r}")
     if target != "mode1" and data.n_modes < 2:
         raise ValueError(f"target {target!r} needs a 2-mode dataset")
-    if target == "mode1":
-        values = data.xs[:, 0]
-    elif target == "mode2":
-        values = data.xs[:, 1]
-    elif target == "sum":
-        values = (data.xs[:, 0] + data.xs[:, 1]) / math.sqrt(2.0)
-    else:
-        values = (data.xs[:, 0] - data.xs[:, 1]) / math.sqrt(2.0)
     n_bins = data.n_samples // window
     if n_bins < 1:
         raise ValueError("window larger than the dataset")
+    xs = data.xs
+    variance = np.empty(n_bins)
+    group = max(1, _BLOCK_ROWS // window)
+    for first in range(0, n_bins, group):
+        last = min(first + group, n_bins)
+        rows = slice(first * window, last * window)
+        if target == "mode1":
+            values = xs[rows, 0]
+        elif target == "mode2":
+            values = xs[rows, 1]
+        elif target == "sum":
+            values = xs[rows, 0] + xs[rows, 1]
+            values /= math.sqrt(2.0)
+        else:
+            values = xs[rows, 0] - xs[rows, 1]
+            values /= math.sqrt(2.0)
+        values.reshape(last - first, window).var(axis=1, ddof=1, out=variance[first:last])
+    idx = np.arange(n_bins) * float(window) + (window - 1) / 2
     used = n_bins * window
-    chunks = values[:used].reshape(n_bins, window)
-    variance = chunks.var(axis=1, ddof=1)
-    idx = np.arange(used, dtype=float).reshape(n_bins, window).mean(axis=1)
     theta_centers = data.thetas.T[:, :used].reshape(data.n_modes, n_bins, window).mean(axis=2)
     counts = np.full(n_bins, window, dtype=int)
     return VarianceTrace(idx, theta_centers.T, variance, counts)

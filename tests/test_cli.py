@@ -120,6 +120,35 @@ class TestSingleSweep:
         samples = str(500 * fitting.MIN_BINS)
         assert main(["epr-sweep", "--samples", samples, "--window", "500", "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize(
+        "command, size, shown",
+        [
+            # default rate: 4 periods of 2*theta over 8 bins
+            ("single-sweep", ["--samples", "4000", "--window", "500"], "--rate 0.00314159 and --window 500 give 2 "),
+            # the same, where 2*pi / (2 * rate * window) rounds to just above 2
+            ("single-sweep", ["--samples", "4800", "--window", "600"], "--window 600 give 2 "),
+            ("single-sweep", ["--rate", "0.01"], "--rate 0.01 and --window 2000 give 0.157 "),
+            # the joint tone is theta1 itself: 2 bins per period at pi/1000 rad/sample
+            ("epr-sweep", ["--samples", "20000", "--window", "1000", "--rate", str(math.pi / 1000)], "give 2 "),
+        ],
+        ids=["single-default", "single-rounded", "single-rate", "epr-rate"],
+    )
+    def test_tone_at_nyquist_rejected_before_sampling(self, tmp_path, capsys, monkeypatch, command, size, shown):
+        def no_sampling(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr("eprsim.cli.sample", no_sampling)
+        out = tmp_path / "untouched"
+        assert main([command, *size, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("eprsim: invalid parameters: ")
+        assert shown in err and err.rstrip().endswith("bins per period of the fitted tone; the fit needs more than 2")
+        assert not out.exists()
+
+    def test_three_bins_per_period_runs(self, tmp_path):
+        # default rate: 4 periods of 2*theta over 12 bins
+        assert main(["single-sweep", "--samples", "6000", "--window", "500", "--out", str(tmp_path)]) == 0
+
 
 class TestEprSweep:
     def test_defaults_against_published_point(self, tmp_path):

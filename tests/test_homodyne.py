@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -598,3 +599,96 @@ class TestModeMajorLayout:
         assert np.all(np.isfinite(z))
         assert np.all(z[zero] == ndtri(0.5**54))
         assert same_bits(z[~zero], ndtri(u[~zero]))
+
+
+B = _BLOCK_ROWS
+BLOCK_SIZES = [1, B - 1, B, B + 1, 2 * B + 7]
+
+
+def block_schedules(n):
+    """Every held/swept combination of 1 and 2 modes, and the -0.0 phase."""
+    swept1, swept2 = PhaseSchedule(1.3, 9.0 / n), PhaseSchedule(-2.2, -5.0 / n)
+    held1, held2 = PhaseSchedule(2.1, 0.0), PhaseSchedule(-0.4, 0.0)
+    negative_zero = PhaseSchedule(-0.0, -0.0)
+    return [
+        (swept1,), (held1,), (negative_zero,),
+        (swept1, held2), (held1, swept2), (swept1, swept2), (held1, held2),
+        (negative_zero, swept2), (swept1, negative_zero), (negative_zero, negative_zero),
+    ]
+
+
+def block_state(modes):
+    if modes == 1:
+        return loss(squeeze(vacuum(1), 0, 0.7, 0.4), 0, 0.6)
+    return epr_pipeline(PipelineConfig(zeta=0.5, eta=0.7, relative_phase=1.1))
+
+
+class TestBlockBoundaries:
+    """Sampling and binning a block at a time give the bytes of the
+    whole-array reference at every block boundary."""
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_sample(self, n):
+        for seed, phases in enumerate(block_schedules(n)):
+            config = SweepConfig(phases, n, seed)
+            data = sample(block_state(len(phases)), config)
+            thetas, xs = interleaved_sample(block_state(len(phases)), config)
+            assert same_bits(data.thetas, thetas) and same_bits(data.xs, xs), phases
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES[1:])
+    def test_binned_variance(self, n):
+        windows = [window for window in sorted({2, 7, B, B + 1, n}) if window <= n]
+        for seed, phases in enumerate(block_schedules(n)):
+            config = SweepConfig(phases, n, seed)
+            data = sample(block_state(len(phases)), config)
+            for window in windows:
+                for target in _TARGETS if data.n_modes == 2 else ("mode1",):
+                    trace = binned_variance(data, window, target)
+                    idx, centers, variance = interleaved_binned_variance(data.thetas, data.xs, window, target)
+                    assert same_bits(trace.bin_center_index, idx), (phases, window, target)
+                    assert same_bits(trace.theta_centers, centers), (phases, window, target)
+                    assert same_bits(trace.variance, variance), (phases, window, target)
+
+
+def traced_peak(call):
+    """`call()`'s result and the peak bytes tracemalloc saw above its start."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestBlockMemory:
+    """Peak memory is the output plus a few blocks, not record-length
+    temporaries (400k 2-mode records: 3.2 MB per column, a block is 128 KiB)."""
+
+    BLOCK_BYTES = B * 8  # one mode's float64s of one block
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        n = 400_000
+        config = SweepConfig((PhaseSchedule(0.3, 4 * math.pi / n), PhaseSchedule(0.0, 0.0)), n, seed=2)
+        state = block_state(2)
+        sample(state, SweepConfig(config.phases, 100, seed=2))  # warm up lazy imports
+        return state, config
+
+    def test_sample(self, sweep):
+        data, peak = traced_peak(lambda: sample(*sweep))
+        output = data.thetas.nbytes + data.xs.nbytes
+        assert output == 2 * 2 * 400_000 * 8
+        assert peak <= output + 16 * self.BLOCK_BYTES
+
+    @pytest.mark.parametrize("window", [2000, 10_000])
+    @pytest.mark.parametrize("target", _TARGETS)
+    def test_binned_variance(self, sweep, window, target):
+        data = sample(*sweep)
+        trace, peak = traced_peak(lambda: binned_variance(data, window, target))
+        assert trace.n_bins == 400_000 // window
+        assert peak <= 4 * self.BLOCK_BYTES

@@ -630,9 +630,9 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_sample(self, n):
         for seed, phases in enumerate(block_schedules(n)):
-            config = SweepConfig(phases, n, seed)
-            data = sample(block_state(len(phases)), config)
-            thetas, xs = interleaved_sample(block_state(len(phases)), config)
+            state, config = block_state(len(phases)), SweepConfig(phases, n, seed)
+            data = sample(state, config)
+            thetas, xs = interleaved_sample(state, config)
             assert same_bits(data.thetas, thetas) and same_bits(data.xs, xs), phases
 
     @pytest.mark.parametrize("n", BLOCK_SIZES[1:])
@@ -688,7 +688,7 @@ class TestBlockMemory:
     @pytest.mark.parametrize("window", [2000, 10_000])
     @pytest.mark.parametrize("target", _TARGETS)
     def test_binned_variance(self, sweep, window, target):
-        data = sample(*sweep)
+        data = sample(*sweep)  # outside the traced call
         trace, peak = traced_peak(lambda: binned_variance(data, window, target))
         assert trace.n_bins == 400_000 // window
         assert peak <= 4 * self.BLOCK_BYTES

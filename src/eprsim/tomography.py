@@ -1,19 +1,21 @@
-"""Iterative maximum-likelihood reconstruction from homodyne records.
+"""Maximum-likelihood reconstruction from homodyne records.
 
-The estimator is the fixed-point iteration rho <- N[G rho G] with
-G = (1 - d) I + d R(rho),  R(rho) = (1/M) sum_j Pi_j / Tr(rho Pi_j),
-where Pi_j projects onto the quadrature eigenstate of datum j and d is the
-dilution factor (d = 1 is the plain RrhoR map).  The log-likelihood is
-checked every step; if a step would decrease it, the step is retried with
-half the d, so accepted iterations are never worse than their predecessor.
+The density matrix is written through a full complex factor,
+rho = A A^dagger / Tr(A A^dagger), so every A gives a physical state
+(James et al., PRA 64, 052312 (2001)), and log L = sum_j log Tr(rho Pi_j),
+where Pi_j projects onto the quadrature eigenstate of datum j, is maximised
+over A.  Its gradient over the real coordinates (Re A, Im A) is
 
-The maximum-likelihood states of squeezed data are rank-deficient, where
-the plain map crawls, so d adapts (Rehacek et al., PRA 75, 042108 (2007)):
-it starts at 1, is carried from step to step, doubles after every step
-accepted at its first try, up to _DILUTION_CAP, and halves on a rejection.
-The stop test is the plain map's: a relative gain below stop_tol ends the
-run only on a step started at d = 1; a small gain of any other step resets
-d to 1 and tests again.
+    dlog L/dA = 2 (M/t) (R - I) A,   t = Tr(A A^dagger),
+    R = (1/M) sum_j Pi_j / Tr(rho Pi_j),
+
+so one gradient costs one likelihood pass and one R pass, both at rho.
+The ascent is limited-memory BFGS (Liu & Nocedal, Math. Program. 45, 503
+(1989)) from A = I / sqrt(d), the maximally mixed state, with an Armijo
+backtracking search that halves the step from 1, so no accepted step
+lowers log L.  The maximum-likelihood states of squeezed data are
+rank-deficient; A need not be, so the ascent never has to reach a
+boundary of the state space.
 
 Each projector factorises over the modes, Pi = |a><a| (x) |b><b|, and each
 factor is written in an orthonormal Hermitian basis of the
@@ -24,12 +26,13 @@ coordinates of a candidate rho, the likelihoods are Tr(rho Pi_j) =
 phi_1(j)^T r phi_2(j), one real GEMM r^T Phi_1 and a column-dot with Phi_2;
 R has the coordinates Phi_1 diag(w) Phi_2^T: w times each row of Phi_2
 and one real GEMM.  One mode reduces both to a matvec.  Only the d x d
-matrices G, rho and R are complex.
+matrices A, rho and R are complex.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +42,10 @@ from .fock import FockDensityMatrix
 from .homodyne import QuadratureDataset
 
 _LIKELIHOOD_FLOOR = 1e-300
-# d = 8 was always rejected where tried, so a higher cap only costs passes
-_DILUTION_CAP = 4.0
+_MEMORY = 8  # (s, y) pairs kept by the L-BFGS ascent
+_FIRST_STEP = 0.1  # Frobenius length of a step taken with an empty memory; |A_0| = 1
+_ARMIJO = 1e-4  # sufficient-increase fraction of the predicted gain
+_HALVINGS = 30  # step halvings before a search gives up
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF = math.sqrt(0.5)
 _FEATURE_BLOCK = 16384  # records per block of _mode_features
@@ -181,6 +186,8 @@ class TomographyDiagnostics:
     loglik: float
     phase_deficient: bool
     converged: bool
+    # likelihood passes, the start and rejected trials included; not in to_json_dict
+    evaluations: int
     loglik_history: list[float] = field(default_factory=list, repr=False)
 
     def to_json_dict(self) -> dict:
@@ -202,75 +209,123 @@ def _phase_deficient(data: QuadratureDataset) -> bool:
     return False
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """Real inner product of two complex matrices over (Re, Im)."""
+    return float(np.vdot(u, v).real)
+
+
+def _lbfgs_direction(gradient: np.ndarray, pairs: deque) -> np.ndarray:
+    """H gradient, with H the L-BFGS inverse-Hessian estimate of -log L from
+    the (s, y, 1/y.s) pairs, scaled by s.y/y.y of the newest (two-loop
+    recursion, Nocedal & Wright, Numerical Optimization, alg. 7.4)."""
+    q = gradient.copy()
+    alphas = []
+    for s, y, inv_sy in reversed(pairs):
+        alpha = inv_sy * _dot(s, q)
+        q -= alpha * y
+        alphas.append(alpha)
+    s, y, _ = pairs[-1]
+    q *= _dot(s, y) / _dot(y, y)
+    for (s, y, inv_sy), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - inv_sy * _dot(y, q)) * s
+    return q
+
+
+def _density(factor: np.ndarray) -> np.ndarray:
+    """rho = A A^dagger / Tr(A A^dagger)."""
+    rho = factor @ factor.conj().T
+    return rho / np.trace(rho).real
+
+
+def _gradient(features: _ProjectorFeatures, factor: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """dlog L/dA = 2 (M/t) (R - I) A at rho = _density(A), whose datum
+    likelihoods are p; one R pass."""
+    m_records = len(p)
+    r_op = features.weighted_sum(1.0 / (m_records * p))
+    return (2.0 * m_records / _dot(factor, factor)) * (r_op @ factor - factor)
+
+
 def reconstruct(
     data: QuadratureDataset, config: TomographyConfig
 ) -> tuple[FockDensityMatrix, TomographyDiagnostics]:
     """Maximum-likelihood density matrix from a quadrature dataset.
 
-    Starts from the maximally mixed state and iterates the diluted
-    fixed-point map with an adaptive step until a step started at d = 1 (the
-    plain map) gains less than config.stop_tol relative log-likelihood, or
-    config.max_iterations is reached.  Raises IllConditionedDatumError,
+    Ascends log L over the factor A of rho = A A^dagger / Tr(A A^dagger)
+    from the maximally mixed state, A = I / sqrt(d), by L-BFGS with memory
+    _MEMORY.  The gradient is 2 (M/t) (R - I) A.  A step with an empty
+    memory has length _FIRST_STEP along the gradient; later steps are
+    scaled by s.y/y.y, and a pair whose curvature s.y is not positive is
+    not stored.  The Armijo search tries the step at 1, 1/2, 1/4, ...
+    (_HALVINGS times) and accepts the first with a sufficient increase; a
+    trial with some datum likelihood below _LIKELIHOOD_FLOOR is rejected.
+    A failed search drops the memory and retries along the gradient; a
+    failed gradient search means no admissible step is left, and the run
+    stops converged.
+
+    Stops, converged, on an accepted step that gains at most
+    config.stop_tol * max(1, |log L|) where its quadratic model (half the
+    step times the slope along it) predicted at most that too, or, not
+    converged, after config.max_iterations accepted steps.  Raises IllConditionedDatumError,
     naming the datum, if some record has effectively zero likelihood under
-    a candidate iterate.
+    the maximally mixed state.
     """
     if data.n_samples == 0:
         raise ValueError("dataset is empty")
     features = _ProjectorFeatures(data, config.cutoff)
-    m_records = data.n_samples
     dim = (config.cutoff + 1) ** data.n_modes
-    identity = np.eye(dim, dtype=complex)
-    rho = identity / dim
-
-    def checked_likelihoods(candidate: np.ndarray) -> np.ndarray:
-        p = features.likelihoods(candidate)
-        if p.min() < _LIKELIHOOD_FLOOR:
-            bad = int(np.argmin(p))
-            raise IllConditionedDatumError(bad, float(p[bad]))
-        return p
-
-    p = checked_likelihoods(rho)
+    a = np.eye(dim, dtype=complex) / math.sqrt(dim)
+    rho = _density(a)
+    p = features.likelihoods(rho)
+    if p.min() < _LIKELIHOOD_FLOOR:
+        bad = int(np.argmin(p))
+        raise IllConditionedDatumError(bad, float(p[bad]))
     loglik = float(np.sum(np.log(p)))
     history = [loglik]
+    evaluations = 1
+    grad = _gradient(features, a, p)
+    pairs: deque = deque(maxlen=_MEMORY)
     converged = False
     iterations = 0
-    step = 1.0
 
-    for _ in range(config.max_iterations):
-        r_op = features.weighted_sum(1.0 / (m_records * p))
-        r_op = 0.5 * (r_op + r_op.conj().T)
-
-        dilution = step
-        for _attempt in range(60):
-            g = (1.0 - dilution) * identity + dilution * r_op
-            candidate = g @ rho @ g.conj().T
-            candidate = 0.5 * (candidate + candidate.conj().T)
-            candidate /= np.trace(candidate).real
-            p_new = checked_likelihoods(candidate)
-            loglik_new = float(np.sum(np.log(p_new)))
-            if loglik_new >= loglik:
-                break
-            dilution *= 0.5
+    while iterations < config.max_iterations:
+        if pairs:
+            direction = _lbfgs_direction(grad, pairs)
         else:
-            # fixed point reached to machine precision; no admissible step
+            direction = (_FIRST_STEP / math.sqrt(_dot(grad, grad))) * grad
+        slope = _dot(grad, direction)
+        step = 1.0
+        for _ in range(_HALVINGS):
+            trial = a + step * direction
+            trial_rho = _density(trial)
+            trial_p = features.likelihoods(trial_rho)
+            evaluations += 1
+            if trial_p.min() >= _LIKELIHOOD_FLOOR:
+                trial_loglik = float(np.sum(np.log(trial_p)))
+                if trial_loglik >= loglik + _ARMIJO * step * slope:
+                    break
+            step *= 0.5
+        else:
+            if pairs:
+                pairs.clear()
+                continue
+            # no admissible step along the gradient: a maximum to machine precision
             converged = True
             break
         iterations += 1
-        rho, p = candidate, p_new
-        gain = loglik_new - loglik
-        loglik = loglik_new
+        gain = trial_loglik - loglik
+        a, rho, p, loglik = trial, trial_rho, trial_p, trial_loglik
         history.append(loglik)
-        if gain <= config.stop_tol * max(1.0, abs(loglik)):
-            if step == 1.0:
-                converged = True
-                break
-            # a small over- or under-relaxed gain proves nothing: re-test
-            # with the plain map
-            step = 1.0
-        elif dilution == step:
-            step = min(2.0 * step, _DILUTION_CAP)
-        else:
-            step = dilution
+        # a small gain where the step's quadratic model predicted a large
+        # one is a poor step, not a maximum
+        if max(gain, 0.5 * step * slope) <= config.stop_tol * max(1.0, abs(loglik)):
+            converged = True
+            break
+        new_grad = _gradient(features, a, p)
+        s, y = step * direction, grad - new_grad
+        sy = _dot(s, y)
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+        grad = new_grad
 
     state = FockDensityMatrix(data.n_modes, config.cutoff, rho)
     diagnostics = TomographyDiagnostics(
@@ -278,6 +333,7 @@ def reconstruct(
         loglik=loglik,
         phase_deficient=_phase_deficient(data),
         converged=converged,
+        evaluations=evaluations,
         loglik_history=history,
     )
     return state, diagnostics

@@ -154,6 +154,19 @@ PLAIN_MAP_RESULTS = {
 }
 
 
+# Final log-likelihood of the adaptively diluted RrhoR map (Rehacek et al.,
+# PRA 75, 042108 (2007); step from 1 up to 4, halved on a decrease), the
+# estimator before the L-BFGS ascent, on the datasets of two tests below.
+DILUTED_MAP_LOGLIK = {
+    "two_mode_round_trip_small": (_two_mode_small, -136735.2765),
+    "loglik_monotone": (_squeezed_cutoff_6, -34536.4834),
+}
+
+
+def _random_factor(rng, dim: int) -> np.ndarray:
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
 class TestReconstruct:
     def test_vacuum_recovery(self):
         config = SweepConfig(
@@ -231,9 +244,45 @@ class TestReconstruct:
         assert diag.loglik >= plain_loglik
         assert diag.iterations < plain_iterations
 
+    @pytest.mark.parametrize("case", sorted(DILUTED_MAP_LOGLIK))
+    def test_ends_above_diluted_map(self, case):
+        make, diluted_loglik = DILUTED_MAP_LOGLIK[case]
+        _, diag = reconstruct(*make())
+        assert diag.converged
+        assert diag.loglik >= diluted_loglik
+
+    @pytest.mark.parametrize("n_modes, cutoff", [(1, 3), (2, 2)])
+    def test_gradient_matches_finite_differences(self, n_modes, cutoff):
+        # dlog L/dA = 2 (M/t) (R - I) A over (Re A, Im A), against central
+        # differences of log L computed from the complex overlaps
+        rng = np.random.default_rng(59)
+        m = 400
+        data = QuadratureDataset(
+            thetas=rng.uniform(0.0, 2 * math.pi, (m, n_modes)), xs=rng.normal(0.0, 0.8, (m, n_modes))
+        )
+        overlaps = complex_overlaps(data, cutoff)
+        features = tomography._ProjectorFeatures(data, cutoff)
+        dim = overlaps.shape[1]
+
+        def loglik(factor):
+            rho = factor @ factor.conj().T / np.vdot(factor, factor).real
+            return float(np.sum(np.log(np.einsum("md,de,me->m", overlaps.conj(), rho, overlaps).real)))
+
+        factor = _random_factor(rng, dim)
+        p = features.likelihoods(tomography._density(factor))
+        analytic = tomography._gradient(features, factor, p)
+        numeric = np.zeros_like(factor)
+        h = 1e-6
+        for index in np.ndindex(factor.shape):
+            for unit in (1.0, 1j):
+                step = np.zeros_like(factor)
+                step[index] = h * unit
+                numeric[index] += unit * (loglik(factor + step) - loglik(factor - step)) / (2 * h)
+        assert np.linalg.norm(numeric - analytic) <= 1e-6 * np.linalg.norm(analytic)
+
     @pytest.mark.parametrize("stop_tol", [1e-2, 1e-3])
     def test_loose_stop_tol_stops_early(self, stop_tol):
-        # a small over-relaxed gain must hand over to a stop test at the plain step
+        # a loose tolerance must end the ascent after a few steps
         data, _ = _squeezed_cutoff_6()
         _, diag = reconstruct(data, TomographyConfig(cutoff=6, stop_tol=stop_tol))
         assert diag.converged
@@ -291,7 +340,19 @@ class TestReconstruct:
             vacuum(1),
             SweepConfig(phases=(PhaseSchedule(0.0, 1e-3),), n_samples=2000, seed=57),
         )
-        _, diag = reconstruct(data, TomographyConfig(cutoff=3))
+        passes = []
+        likelihoods = tomography._ProjectorFeatures.likelihoods
+
+        def counted(features, rho):
+            passes.append(1)
+            return likelihoods(features, rho)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tomography._ProjectorFeatures, "likelihoods", counted)
+            _, diag = reconstruct(data, TomographyConfig(cutoff=3))
+        # the start and every trial, accepted or rejected, are counted
+        assert diag.evaluations == len(passes)
+        assert diag.evaluations >= diag.iterations + 1
         payload = diag.to_json_dict()
         assert set(payload) == {"iterations", "loglik", "phase_deficient"}
 

@@ -265,9 +265,9 @@ def reconstruct(
     Stops, converged, on an accepted step that gains at most
     config.stop_tol * max(1, |log L|) where its quadratic model (half the
     step times the slope along it) predicted at most that too, or, not
-    converged, after config.max_iterations accepted steps.  Raises IllConditionedDatumError,
-    naming the datum, if some record has effectively zero likelihood under
-    the maximally mixed state.
+    converged, after config.max_iterations accepted steps.  Raises
+    IllConditionedDatumError, naming the datum, if some record has
+    effectively zero likelihood under the maximally mixed state.
     """
     if data.n_samples == 0:
         raise ValueError("dataset is empty")

@@ -163,10 +163,6 @@ DILUTED_MAP_LOGLIK = {
 }
 
 
-def _random_factor(rng, dim: int) -> np.ndarray:
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-
-
 class TestReconstruct:
     def test_vacuum_recovery(self):
         config = SweepConfig(
@@ -268,7 +264,7 @@ class TestReconstruct:
             rho = factor @ factor.conj().T / np.vdot(factor, factor).real
             return float(np.sum(np.log(np.einsum("md,de,me->m", overlaps.conj(), rho, overlaps).real)))
 
-        factor = _random_factor(rng, dim)
+        factor = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         p = features.likelihoods(tomography._density(factor))
         analytic = tomography._gradient(features, factor, p)
         numeric = np.zeros_like(factor)
@@ -279,6 +275,17 @@ class TestReconstruct:
                 step[index] = h * unit
                 numeric[index] += unit * (loglik(factor + step) - loglik(factor - step)) / (2 * h)
         assert np.linalg.norm(numeric - analytic) <= 1e-6 * np.linalg.norm(analytic)
+
+    def test_no_admissible_step_ends_converged(self):
+        # no gain passes a stop_tol this small, so the run ends when a search
+        # along the gradient, after the memory is dropped, finds no step
+        data = sample(vacuum(1), SweepConfig(phases=(PhaseSchedule(0.0, 1e-3),), n_samples=5000, seed=54))
+        config = TomographyConfig(cutoff=4, stop_tol=1e-300)
+        _, diag = reconstruct(data, config)
+        assert diag.converged
+        assert diag.iterations < config.max_iterations
+        assert diag.evaluations >= diag.iterations + 1 + tomography._HALVINGS
+        assert np.all(np.diff(diag.loglik_history) >= 0)
 
     @pytest.mark.parametrize("stop_tol", [1e-2, 1e-3])
     def test_loose_stop_tol_stops_early(self, stop_tol):
@@ -335,7 +342,7 @@ class TestReconstruct:
         _, diag = reconstruct(data, TomographyConfig(cutoff=3, max_iterations=3))
         assert diag.phase_deficient == deficient
 
-    def test_diagnostics_json_fields(self):
+    def test_diagnostics_json_fields(self, monkeypatch):
         data = sample(
             vacuum(1),
             SweepConfig(phases=(PhaseSchedule(0.0, 1e-3),), n_samples=2000, seed=57),
@@ -347,9 +354,8 @@ class TestReconstruct:
             passes.append(1)
             return likelihoods(features, rho)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(tomography._ProjectorFeatures, "likelihoods", counted)
-            _, diag = reconstruct(data, TomographyConfig(cutoff=3))
+        monkeypatch.setattr(tomography._ProjectorFeatures, "likelihoods", counted)
+        _, diag = reconstruct(data, TomographyConfig(cutoff=3))
         # the start and every trial, accepted or rejected, are counted
         assert diag.evaluations == len(passes)
         assert diag.evaluations >= diag.iterations + 1

@@ -405,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tomography", help="maximum-likelihood reconstruction from a dataset CSV")
     p.add_argument("--input", required=True, help="dataset CSV (homodyne format)")
     p.add_argument("--cutoff", type=_positive_int, default=4, help="Fock cutoff per mode")
-    p.add_argument("--max-iterations", type=_positive_int, default=2000)
-    p.add_argument("--stop-tol", type=_positive_float, default=1e-8)
+    p.add_argument("--max-iterations", type=_positive_int, default=TomographyConfig.max_iterations)
+    p.add_argument("--stop-tol", type=_positive_float, default=TomographyConfig.stop_tol)
     p.add_argument("--ref-zeta", type=_nonneg_float, default=None, help="reference state squeezing")
     p.add_argument("--ref-eta", type=_unit_interval, default=None, help="reference state transmissivity")
     _add_common_output_options(p, "tomo")

@@ -30,12 +30,16 @@ on the eta = 1 edge (a root of a quartic in u = e^{2 zeta}) or on the open
 eta -> 0 edge amp = gamma, where zeta is unbounded and the fit is ill-posed.
 A fit therefore cannot stall on the eta bound: at the returned tone the
 (zeta, eta) it reports is the exact constrained optimum.
+
+`fit_single` and `fit_epr` make this fit in one function, `_fit_squeezer`,
+and differ only in their signs, their harmonic (theta0 = phase / harmonic)
+and one check each: one period of 2 theta, or a shared binning.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -117,15 +121,7 @@ class FitResult:
     degenerate: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "zeta": self.zeta,
-            "eta": self.eta,
-            "theta0": self.theta0,
-            "rate": self.rate,
-            "rss": self.rss,
-            "converged": self.converged,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 def squeezing_db(variance: float) -> float:
@@ -147,8 +143,6 @@ def _fft_tone(values: np.ndarray) -> tuple[float, float]:
     demeaned = values - values.mean()
     n_bins = len(values)
     mags = np.abs(np.fft.rfft(demeaned))
-    if len(mags) < 2:
-        raise IllPosedFitError("trace too short to locate an oscillation")
     k = 1 + int(np.argmax(mags[1:]))
     grid = 2.0 * math.pi * (k + np.linspace(-1.0, 1.0, 81)) / n_bins
     grid = grid[grid > 0]
@@ -249,22 +243,23 @@ def _fit_tone(grid: tuple, traces: list[np.ndarray], signs: tuple, physical: boo
     )
 
 
-def _flat_result(values: np.ndarray) -> FitResult:
-    rss = float(np.sum((values - 0.5) ** 2))
-    return FitResult(
-        zeta=0.0, eta=1.0, theta0=0.0, rate=0.0, rss=rss, converged=False, degenerate=True
-    )
+def _fit_squeezer(n: np.ndarray, traces: list[np.ndarray], signs: tuple, harmonic: float) -> FitResult:
+    """Fit a squeezer model to traces on bin centers n, trace i carrying sign
+    signs[i]; the tone runs at `harmonic` times (theta0 + rate n).
 
-
-def _unresolvable(zeta: float, eta: float, rss: float, n_residuals: int) -> bool:
-    """True when the fitted oscillation amplitude is buried in the residual
-    noise, i.e. the data cannot identify (zeta, eta)."""
-    noise = math.sqrt(rss / max(n_residuals - 4, 1))
-    return eta * math.sinh(2.0 * zeta) < 4.0 * noise
-
-
-def _squeezer_fit(tone: _Tone, theta0: float, rate: float, n_residuals: int) -> FitResult:
-    """FitResult of a squeezer tone fit: (zeta, eta) from its (mid, amp)."""
+    A flat signal cannot identify eta and gives the degenerate zeta = 0,
+    eta = 1 fit; a fitted oscillation buried in the residual noise is
+    flagged degenerate.
+    """
+    if len(n) < MIN_BINS:
+        raise IllPosedFitError(f"need at least {MIN_BINS} bins, got {len(n)}")
+    grid = _bin_offsets(n)
+    values = np.concatenate(traces)
+    signal = sum(s * t for s, t in zip(signs, traces)) / len(traces)
+    if np.ptp(signal) < _FLAT_TOL * max(1.0, abs(traces[0].mean())):
+        rss = float(np.sum((values - 0.5) ** 2))
+        return FitResult(zeta=0.0, eta=1.0, theta0=0.0, rate=0.0, rss=rss, converged=False, degenerate=True)
+    tone = _fit_tone(grid, traces, signs)
     if tone.edge == "eta->0":
         raise IllPosedFitError("fit diverged: zeta grows without bound as eta -> 0")
     gamma, amp = 2.0 * tone.mid - 1.0, tone.amp
@@ -273,9 +268,10 @@ def _squeezer_fit(tone: _Tone, theta0: float, rate: float, n_residuals: int) -> 
     else:
         eta = (amp * amp - gamma * gamma) / (2.0 * gamma)
         zeta = 0.5 * math.asinh(amp / eta)
-    degenerate = _unresolvable(zeta, eta, tone.rss, n_residuals)
+    noise = math.sqrt(tone.rss / max(len(values) - 4, 1))
+    degenerate = eta * math.sinh(2.0 * zeta) < 4.0 * noise
     return FitResult(
-        zeta=zeta, eta=eta, theta0=theta0, rate=rate, rss=tone.rss,
+        zeta=zeta, eta=eta, theta0=tone.phase / harmonic, rate=tone.omega / harmonic, rss=tone.rss,
         converged=tone.converged and not degenerate, degenerate=degenerate,
     )
 
@@ -290,15 +286,8 @@ def fit_single(trace: VarianceTrace) -> FitResult:
     bin centers are not strictly increasing and evenly spaced.
     """
     n = np.asarray(trace.bin_center_index, dtype=float)
-    v = np.asarray(trace.variance, dtype=float)
-    if len(v) < MIN_BINS:
-        raise IllPosedFitError(f"need at least {MIN_BINS} bins, got {len(v)}")
-    grid = _bin_offsets(n)
-    if np.ptp(v) < _FLAT_TOL * max(1.0, abs(v.mean())):
-        return _flat_result(v)
-    tone = _fit_tone(grid, [v], (-1.0,))
-    fit = _squeezer_fit(tone, 0.5 * tone.phase, 0.5 * tone.omega, len(v))
-    cycles = tone.omega * (n[-1] - n[0]) / (2.0 * math.pi)
+    fit = _fit_squeezer(n, [np.asarray(trace.variance, dtype=float)], (-1.0,), 2.0)
+    cycles = fit.rate * (n[-1] - n[0]) / math.pi
     if not fit.degenerate and cycles < 0.999:
         raise IllPosedFitError(
             f"trace covers {cycles:.3f} periods of 2*theta; need at least one"
@@ -316,17 +305,11 @@ def fit_epr(trace_sum: VarianceTrace, trace_diff: VarianceTrace) -> FitResult:
     """
     n_sum = np.asarray(trace_sum.bin_center_index, dtype=float)
     n_diff = np.asarray(trace_diff.bin_center_index, dtype=float)
-    if len(n_sum) != len(n_diff) or np.max(np.abs(n_sum - n_diff)) > 1e-9:
+    if len(n_sum) != len(n_diff) or np.any(np.abs(n_sum - n_diff) > 1e-9):
         raise ValueError("sum and difference traces must share their binning")
     v_sum = np.asarray(trace_sum.variance, dtype=float)
     v_diff = np.asarray(trace_diff.variance, dtype=float)
-    if len(n_sum) < MIN_BINS:
-        raise IllPosedFitError(f"need at least {MIN_BINS} bins, got {len(n_sum)}")
-    grid = _bin_offsets(n_sum)
-    if np.ptp(0.5 * (v_sum - v_diff)) < _FLAT_TOL * max(1.0, abs(v_sum.mean())):
-        return _flat_result(np.concatenate([v_sum, v_diff]))
-    tone = _fit_tone(grid, [v_sum, v_diff], (1.0, -1.0))
-    return _squeezer_fit(tone, tone.phase, tone.omega, 2 * len(n_sum))
+    return _fit_squeezer(n_sum, [v_sum, v_diff], (1.0, -1.0), 1.0)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import pytest
 import eprsim
 from eprsim.cli import _write_json, build_parser, main
 from eprsim import fitting
-from eprsim.fitting import fit_sinusoid, levenberg_marquardt
+from eprsim.fitting import FitResult, fit_sinusoid, levenberg_marquardt
 from eprsim.fock import gaussian_to_fock, mean_photon
 from eprsim.gaussian import PipelineConfig, epr_pipeline, vacuum
 from eprsim.homodyne import PhaseSchedule, SweepConfig, VarianceTrace, sample
@@ -386,6 +386,16 @@ class TestFitCommand:
         )
         assert rc == 0
         assert abs(read_json(tmp_path / "refit_fit.json")["zeta"] - 0.44) < 0.02
+
+    @pytest.mark.parametrize("command", ["single-sweep", "epr-sweep"])
+    def test_refit_reproduces_sweep_fit(self, tmp_path, replay_inputs, command):
+        # the trace CSVs keep 17 significant digits, so the refit sees the sweep's traces
+        kind = command.removesuffix("-sweep")
+        run_case(f"fit-{kind}", replay_inputs, tmp_path)
+        refit = read_json(tmp_path / "fit_fit.json")
+        swept = read_json(replay_inputs / f"{kind}_fit.json")
+        assert list(refit) == list(FitResult.__dataclass_fields__)
+        assert refit == {key: swept[key] for key in refit}
 
     def test_warns_of_weak_fit(self, tmp_path, capsys, monkeypatch):
         def run(*args):

@@ -175,6 +175,11 @@ class TestFitSingle:
         with pytest.raises(IllPosedFitError):
             fit_single(trace)
 
+    def test_zero_bins(self):
+        trace = synthetic_single_trace(0.44, 0.52, 0.0, 5e-5, n_bins=0)
+        with pytest.raises(IllPosedFitError, match="need at least 8 bins, got 0"):
+            fit_single(trace)
+
     def test_insufficient_phase_coverage(self):
         # half a period of 2*theta across the whole trace
         rate = math.pi / 2 / (60 * 2000.0) / 2
@@ -275,6 +280,12 @@ class TestFitEpr:
         assert fit.degenerate
         assert fit.zeta == 0.0
 
+    @pytest.mark.parametrize("n_bins", [0, 6])
+    def test_too_few_bins(self, n_bins):
+        t_sum, t_diff = synthetic_epr_traces(0.44, 0.52, 0.0, 5e-5, n_bins=n_bins)
+        with pytest.raises(IllPosedFitError, match=f"need at least 8 bins, got {n_bins}"):
+            fit_epr(t_sum, t_diff)
+
     def test_mismatched_binning_rejected(self):
         t_sum, _ = synthetic_epr_traces(0.44, 0.5, 0.0, 5e-5)
         _, t_diff = synthetic_epr_traces(0.44, 0.5, 0.0, 5e-5, start=2000.0)
@@ -346,6 +357,78 @@ class TestFitEpr:
         expected_max = 0.5 * fit.eta * math.exp(2 * fit.zeta) + 0.5 * (1 - fit.eta)
         assert v_min == pytest.approx(expected_min, abs=1e-10)
         assert v_max == pytest.approx(expected_max, abs=1e-10)
+
+
+def sampled_single_trace(zeta, eta, seed, records=40_000, window=1000):
+    """Mode-1 trace of a seeded single-mode sweep over 2 periods of 2 theta."""
+    state = loss(squeeze(vacuum(1), 0, zeta), 0, eta)
+    phases = (PhaseSchedule(0.3, 2 * math.pi / records),)
+    return binned_variance(sample(state, SweepConfig(phases=phases, n_samples=records, seed=seed)), window, "mode1")
+
+
+def sampled_epr_traces(zeta, eta, seed, records=40_000, window=1000):
+    """Sum and difference traces of a seeded EPR sweep over 2 periods of theta1."""
+    state = epr_pipeline(PipelineConfig(zeta=zeta, eta=eta))
+    phases = (PhaseSchedule(0.3, 4 * math.pi / records), PhaseSchedule(0.0, 0.0))
+    data = sample(state, SweepConfig(phases=phases, n_samples=records, seed=seed))
+    return binned_variance(data, window, "sum"), binned_variance(data, window, "difference")
+
+
+def flat_single_trace():
+    """20 bins of variance 0.6: flat, off the vacuum 0.5, so its rss is not 0."""
+    n = np.arange(0, 20000, 1000, dtype=float)
+    return VarianceTrace(n, np.zeros((20, 1)), np.full(20, 0.6), np.full(20, 1000, dtype=int))
+
+
+# float.hex of (zeta, eta, theta0, rate, rss), then (converged, degenerate), of
+# fits recorded at commit fffa825, before fit_single and fit_epr shared one
+# squeezer fit: the fits keep every bit
+PINNED_FITS = {
+    "single-interior": (
+        lambda: fit_single(sampled_single_trace(0.44, 0.52, 1)),
+        ("0x1.aa68cd55479b9p-2", "0x1.20cef4f614aa3p-1", "0x1.35fd81cbf1588p-2", "0x1.47639a9cad23bp-13",
+         "0x1.962a823cb4918p-6"),
+        (True, False),
+    ),
+    "single-eta-one": (
+        lambda: fit_single(sampled_single_trace(0.6, 1.0, 1)),
+        ("0x1.32c8dac534c18p-1", "0x1.0000000000000p+0", "0x1.325bd876bcf10p-2", "0x1.489c25b870ba1p-13",
+         "0x1.2de9d16edfce8p-4"),
+        (True, False),
+    ),
+    "single-flat": (
+        lambda: fit_single(flat_single_trace()),
+        ("0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x1.9999999999998p-3"),
+        (False, True),
+    ),
+    # no squeezing: the fitted oscillation is buried in the sampling noise
+    "single-unresolvable": (
+        lambda: fit_single(sampled_single_trace(0.0, 0.5, 2)),
+        ("0x1.b998914263971p-2", "0x1.90d22e9617c02p-7", "0x1.2db18458e8a88p+1", "0x1.9bc65b68b71c3p-10",
+         "0x1.fc80441eea103p-7"),
+        (False, True),
+    ),
+    "epr-interior": (
+        lambda: fit_epr(*sampled_epr_traces(0.44, 0.5, 1)),
+        ("0x1.c2067bb809a28p-2", "0x1.030c559b371ccp-1", "0x1.42f30b8b75ad0p-2", "0x1.48d49006256ecp-12",
+         "0x1.996ccf53968fap-5"),
+        (True, False),
+    ),
+    "epr-flat": (
+        lambda: fit_epr(*synthetic_epr_traces(0.0, 0.7, 0.0, 5e-5)),
+        ("0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        (False, True),
+    ),
+}
+
+
+class TestPinnedFits:
+    @pytest.mark.parametrize("case", sorted(PINNED_FITS))
+    def test_fit_bits(self, case):
+        job, floats, flags = PINNED_FITS[case]
+        fit = job()
+        assert tuple(float(v).hex() for v in (fit.zeta, fit.eta, fit.theta0, fit.rate, fit.rss)) == floats
+        assert (fit.converged, fit.degenerate) == flags
 
 
 class TestFitSinusoid:

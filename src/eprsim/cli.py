@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tomography", help="maximum-likelihood reconstruction from a dataset CSV")
     p.add_argument("--input", required=True, help="dataset CSV (homodyne format)")
-    p.add_argument("--cutoff", type=_positive_int, default=4, help="Fock cutoff per mode")
+    p.add_argument("--cutoff", type=_positive_int, default=TomographyConfig.cutoff, help="Fock cutoff per mode")
     p.add_argument("--max-iterations", type=_positive_int, default=TomographyConfig.max_iterations)
     p.add_argument("--stop-tol", type=_positive_float, default=TomographyConfig.stop_tol)
     p.add_argument("--ref-zeta", type=_nonneg_float, default=None, help="reference state squeezing")

@@ -127,15 +127,15 @@ def destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
 
 
-def _mode_axes(matrix: np.ndarray, n_modes: int, mode: int):
-    """An `n_modes`-mode density matrix viewed with one row and one column
-    axis per mode, `mode`'s two axes last, and the inverse map back to a
+def _mode_axes(rho: FockDensityMatrix, mode: int):
+    """rho's matrix viewed with one row and one column axis of cutoff + 1
+    levels per mode, `mode`'s two axes last, and the inverse map back to a
     matrix."""
-    if not 0 <= mode < n_modes:
+    if not 0 <= mode < rho.n_modes:
         raise ValueError(f"mode {mode} out of range")
-    dim = len(matrix)
-    axes = (mode, n_modes + mode)
-    tensor = matrix.reshape((math.isqrt(dim) if n_modes == 2 else dim,) * 2 * n_modes)
+    dim = len(rho.matrix)
+    axes = (mode, rho.n_modes + mode)
+    tensor = rho.matrix.reshape((rho.cutoff + 1,) * 2 * rho.n_modes)
 
     def to_matrix(t: np.ndarray) -> np.ndarray:
         return np.moveaxis(t, (-2, -1), axes).reshape(dim, dim)
@@ -187,7 +187,7 @@ def loss_fock(rho: FockDensityMatrix, mode: int, eta: float) -> FockDensityMatri
     on the truncated space, applied to the mode's axes in k order."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmissivity must be in [0, 1], got {eta}")
-    t, to_matrix = _mode_axes(rho.matrix, rho.n_modes, mode)
+    t, to_matrix = _mode_axes(rho, mode)
     dim = t.shape[-1]
     out = np.zeros_like(t)
     for k in range(dim):
@@ -201,14 +201,14 @@ def rotate_fock(rho: FockDensityMatrix, mode: int, phi: float) -> FockDensityMat
 
     Matches the covariance-module convention V'(theta) = V(theta - phi).
     """
-    t, to_matrix = _mode_axes(rho.matrix, rho.n_modes, mode)
+    t, to_matrix = _mode_axes(rho, mode)
     phases = np.exp(1j * phi * np.arange(t.shape[-1]))
     return FockDensityMatrix(rho.n_modes, rho.cutoff, to_matrix((phases[:, None] * t) * phases.conj()), rho.tail_tol)
 
 
 def mean_photon(rho: FockDensityMatrix, mode: int) -> float:
     """Tr(rho n_mode), with n_mode applied to the mode's column axis."""
-    t, to_matrix = _mode_axes(rho.matrix, rho.n_modes, mode)
+    t, to_matrix = _mode_axes(rho, mode)
     return float(np.trace(to_matrix(t * np.arange(rho.cutoff + 1))).real)
 
 

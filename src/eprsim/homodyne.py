@@ -90,7 +90,9 @@ class SweepConfig:
         return out.T
 
 
-_BLOCK_ROWS = 16384  # records sampled, binned, formatted per write and parsed per step
+# records sampled, binned, formatted per write, parsed per step and turned
+# into MaxLik features (tomography._mode_features) per block
+_BLOCK_ROWS = 16384
 
 
 def _write_csv(path, header: str, row_format: str, columns: list[np.ndarray]) -> None:

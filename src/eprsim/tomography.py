@@ -21,12 +21,14 @@ Each projector factorises over the modes, Pi = |a><a| (x) |b><b|, and each
 factor is written in an orthonormal Hermitian basis of the
 (cutoff + 1)^2-dimensional space of one mode's matrices: D = (cutoff + 1)^2
 real features per record and mode (_ProjectorFeatures), stored as a D x M
-array with one contiguous row per feature.  With r the real D x D
-coordinates of a candidate rho, the likelihoods are Tr(rho Pi_j) =
-phi_1(j)^T r phi_2(j), one real GEMM r^T Phi_1 and a column-dot with Phi_2;
-R has the coordinates Phi_1 diag(w) Phi_2^T: w times each row of Phi_2
-and one real GEMM.  One mode reduces both to a matvec.  Only the d x d
-matrices A, rho and R are complex.
+array with one contiguous row per feature.  One mode gets a second factor
+that spans the 1-dimensional space, the single feature 1 in the basis
+[[1]], so every dataset has two factors of D_1 and D_2 features.  With r
+the real D_1 x D_2 coordinates of a candidate rho, the likelihoods are
+Tr(rho Pi_j) = phi_1(j)^T r phi_2(j), one real GEMM r^T Phi_1 and a
+column-dot with Phi_2; R has the coordinates Phi_1 diag(w) Phi_2^T: w
+times each row of Phi_2 and one real GEMM.  Only the d x d matrices A, rho
+and R are complex.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import IllConditionedDatumError
 from .fock import FockDensityMatrix
-from .homodyne import QuadratureDataset
+from .homodyne import _BLOCK_ROWS, QuadratureDataset
 
 _LIKELIHOOD_FLOOR = 1e-300
 _MEMORY = 8  # (s, y) pairs kept by the L-BFGS ascent
@@ -48,7 +50,6 @@ _ARMIJO = 1e-4  # sufficient-increase fraction of the predicted gain
 _HALVINGS = 30  # step halvings before a search gives up
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF = math.sqrt(0.5)
-_FEATURE_BLOCK = 16384  # records per block of _mode_features
 
 
 def quad_wavefunction(n: int, x) -> np.ndarray | float:
@@ -99,8 +100,8 @@ def _mode_features(thetas: np.ndarray, xs: np.ndarray, cutoff: int) -> np.ndarra
     that the temporaries stay small."""
     n = cutoff + 1
     out = np.empty((n * n, len(xs)))
-    for start in range(0, len(xs), _FEATURE_BLOCK):
-        rows = slice(start, start + _FEATURE_BLOCK)
+    for start in range(0, len(xs), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
         block = out[:, rows]
         psi = _wavefunction_table(cutoff, xs[rows])
         np.square(psi, out=block[:n])
@@ -118,56 +119,48 @@ def _mode_features(thetas: np.ndarray, xs: np.ndarray, cutoff: int) -> np.ndarra
 
 class _ProjectorFeatures:
     """A dataset's projectors in real coordinates: each mode's factor
-    |theta, x><theta, x| in _hermitian_basis, one (D, M) array per mode.
-    A Hermitian matrix H has the real coordinates Tr(B_mu [(x) B_nu] H): a
-    D-vector for one mode, a D x D matrix for two."""
+    |theta, x><theta, x| in _hermitian_basis, one (D, M) array per mode; one
+    mode's second factor is the (1, M) ones of the 1-dimensional space.  A
+    Hermitian matrix H has the real coordinates Tr((B_mu (x) B_nu) H), a
+    D_1 x D_2 matrix."""
 
     def __init__(self, data: QuadratureDataset, cutoff: int):
-        self.n = cutoff + 1
-        self.basis = _hermitian_basis(self.n)
         self.first = _mode_features(data.thetas[:, 0], data.xs[:, 0], cutoff)
-        self.second = None
-        self.scratch = None
         if data.n_modes == 2:
             self.second = _mode_features(data.thetas[:, 1], data.xs[:, 1], cutoff)
-            # one D x M temporary, shared by the likelihoods and R's weighted features
-            self.scratch = np.empty_like(self.first)
+        else:
+            self.second = np.broadcast_to(1.0, (1, data.n_samples))  # a view, nothing allocated
+        self.dims = (cutoff + 1, math.isqrt(len(self.second)))
+        self.bases = tuple(_hermitian_basis(k) for k in self.dims)
+        # one temporary, shared by the likelihoods and R's weighted features
+        self.scratch = np.empty(self.second.shape)
 
     def likelihoods(self, rho: np.ndarray) -> np.ndarray:
-        """Tr(rho Pi_j) = phi_1(j)^T r phi_2(j), or r^T phi(j) for one mode."""
+        """Tr(rho Pi_j) = phi_1(j)^T r phi_2(j)."""
         coords = self._coordinates(rho)
-        if self.second is None:
-            return coords @ self.first
         np.matmul(coords.T, self.first, out=self.scratch)
         return np.einsum("km,km->m", self.scratch, self.second)
 
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
-        """sum_j w_j Pi_j, from its coordinates Phi_1 diag(w) Phi_2^T, or Phi w."""
-        if self.second is None:
-            return self._from_coordinates(self.first @ weights)
+        """sum_j w_j Pi_j, from its coordinates Phi_1 diag(w) Phi_2^T."""
         np.multiply(self.second, weights, out=self.scratch)
         return self._from_coordinates(self.first @ self.scratch.T)
 
     def _coordinates(self, matrix: np.ndarray) -> np.ndarray:
-        conj = self.basis.conj()
-        if self.second is None:
-            return (conj @ matrix.reshape(-1)).real
-        n = self.n
+        (n1, n2), (basis1, basis2) = self.dims, self.bases
         # regroup H[(a, b), (c, d)] as y[(a, c), (b, d)], one mode per axis
-        y = matrix.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-        return (conj @ y @ conj.T).real
+        y = matrix.reshape(n1, n2, n1, n2).transpose(0, 2, 1, 3).reshape(n1 * n1, n2 * n2)
+        return (basis1.conj() @ y @ basis2.conj().T).real
 
     def _from_coordinates(self, coords: np.ndarray) -> np.ndarray:
-        n = self.n
-        if self.second is None:
-            return (coords @ self.basis).reshape(n, n)
-        y = self.basis.T @ coords @ self.basis
-        return y.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+        (n1, n2), (basis1, basis2) = self.dims, self.bases
+        y = basis1.T @ coords @ basis2
+        return y.reshape(n1, n1, n2, n2).transpose(0, 2, 1, 3).reshape(n1 * n2, n1 * n2)
 
 
 @dataclass(frozen=True)
 class TomographyConfig:
-    cutoff: int = 5
+    cutoff: int = 4
     max_iterations: int = 2000
     stop_tol: float = 1e-8
 

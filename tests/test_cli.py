@@ -17,6 +17,7 @@ from eprsim.fitting import FitResult, fit_sinusoid, levenberg_marquardt
 from eprsim.fock import gaussian_to_fock, mean_photon
 from eprsim.gaussian import PipelineConfig, epr_pipeline, vacuum
 from eprsim.homodyne import PhaseSchedule, SweepConfig, VarianceTrace, sample
+from eprsim.tomography import TomographyConfig
 
 
 def read_json(path: Path):
@@ -343,6 +344,14 @@ class TestTomographyCommand:
             "eprsim: invalid parameters: --ref-zeta and --ref-eta must be given together\n"
         )
         assert not out.exists()
+
+    def test_defaults_are_the_config_defaults(self):
+        # one default per setting: the library and the command reconstruct alike
+        args = build_parser().parse_args(["tomography", "--input", "x.csv"])
+        defaults = TomographyConfig()
+        assert (args.cutoff, args.max_iterations, args.stop_tol) == (
+            defaults.cutoff, defaults.max_iterations, defaults.stop_tol
+        )
 
 
 class TestFitCommand:

@@ -106,7 +106,7 @@ class TestProjectorFeatures:
     @pytest.mark.parametrize(
         "cutoff, n_modes, m",
         [pytest.param(c, n, 300, id=f"{c}-{n}") for c in (2, 3, 4, 5, 6) for n in (1, 2)]
-        # crosses the 16384-record _FEATURE_BLOCK boundary of _mode_features
+        # crosses the 16384-record homodyne._BLOCK_ROWS boundary of _mode_features
         + [pytest.param(3, 2, 16_500, id="3-2-16500")],
     )
     def test_matches_complex_overlaps(self, cutoff, n_modes, m):
@@ -124,6 +124,23 @@ class TestProjectorFeatures:
             expected_r = np.einsum("m,md,me->de", weights, overlaps, overlaps.conj())
             error = np.linalg.norm(features.weighted_sum(weights) - expected_r)
             assert error <= 1e-10 * np.linalg.norm(expected_r)
+
+    @pytest.mark.parametrize("cutoff", [2, 4, 6])
+    def test_one_mode_pass_is_bit_exact(self, cutoff):
+        # one mode through the two-factor path against the matvec forms it
+        # replaced: likelihoods r^T Phi and R's coordinates Phi w, bit for bit
+        rng = np.random.default_rng(70 + cutoff)
+        m = 20_000
+        data = QuadratureDataset(thetas=rng.uniform(0.0, 2 * math.pi, (m, 1)), xs=rng.normal(0.0, 0.8, (m, 1)))
+        features = tomography._ProjectorFeatures(data, cutoff)
+        basis = tomography._hermitian_basis(cutoff + 1)
+        for _ in range(3):
+            rho = _random_state(rng, cutoff + 1)
+            coords = (basis.conj() @ rho.ravel()).real
+            assert np.array_equal(features.likelihoods(rho), coords @ features.first)
+            weights = rng.uniform(0.1, 2.0, m)
+            expected_r = ((features.first @ weights) @ basis).reshape(cutoff + 1, cutoff + 1)
+            assert np.array_equal(features.weighted_sum(weights), expected_r)
 
 
 def _two_mode_small():

@@ -7,7 +7,8 @@ argument vector are both derived from the parser (see ``_replay``), so a new
 flag is recorded without further code.
 
 Exit codes: 0 success, 2 usage error, 3 data-format error, 4 numerical
-failure, 1 I/O error.
+failure, 1 I/O error.  Each handler returns its caveats, and ``main`` prints
+them, one ``eprsim: warning:`` line each, after the outputs are written.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ _positive_float = _number(float, "> 0", lambda value: value > 0)
 _unit_interval = _number(float, "in [0, 1]", lambda value: 0.0 <= value <= 1.0)
 _nonneg_int = _number(int, ">= 0", lambda value: value >= 0)
 _positive_int = _number(int, ">= 1", lambda value: value >= 1)
+_int_at_least_2 = _number(int, ">= 2", lambda value: value >= 2)
 
 
 def _length(text: str) -> float:
@@ -179,31 +181,26 @@ def _sweep_config(args, harmonic: int, *held_phases: float) -> SweepConfig:
     return SweepConfig(phases=phases, n_samples=args.samples, seed=args.seed)
 
 
-def _warn_weak_fit(args, fit) -> None:
+def _fit_caveats(fit) -> list[str]:
     if fit.degenerate:
-        print(f"eprsim: warning: {args.command} fit is degenerate (oscillation below the noise)", file=sys.stderr)
-    elif not fit.converged:
-        print(f"eprsim: warning: {args.command} fit did not converge", file=sys.stderr)
+        return ["fit is degenerate (oscillation below the noise)"]
+    return [] if fit.converged else ["fit did not converge"]
 
 
-def _write_sweep(args, dataset, traces: dict, fit, fit_payload: dict) -> Path:
-    """Write a sweep's optional dataset, its ``{name: trace}`` and its fit,
-    then warn of dropped trailing samples and of a weak fit."""
+def _write_sweep(args, dataset, traces: dict, fit, fit_payload: dict) -> tuple[Path, list[str]]:
+    """Write a sweep's optional dataset, its ``{name: trace}`` and its fit;
+    return the output directory and the caveats: dropped trailing samples,
+    then a weak fit."""
     files = {f"{args.prefix}_data.csv": dataset.to_csv} if args.write_dataset else {}
     files |= {name: trace.to_csv for name, trace in traces.items()}
     files[f"{args.prefix}_fit.json"] = partial(_write_json, payload=fit_payload)
     outdir = _write_outputs(args, files)
-    if dropped := args.samples % args.window:
-        print(
-            f"eprsim: warning: {args.command} dropped {dropped} trailing samples "
-            "(--samples not a multiple of --window)",
-            file=sys.stderr,
-        )
-    _warn_weak_fit(args, fit)
-    return outdir
+    dropped = args.samples % args.window
+    caveats = [f"dropped {dropped} trailing samples (--samples not a multiple of --window)"] if dropped else []
+    return outdir, caveats + _fit_caveats(fit)
 
 
-def _cmd_single_sweep(args) -> int:
+def _cmd_single_sweep(args) -> list[str]:
     config = _sweep_config(args, 2)
     state = loss(squeeze(vacuum(1), 0, args.zeta), 0, args.eta)
 
@@ -211,12 +208,12 @@ def _cmd_single_sweep(args) -> int:
     trace = binned_variance(dataset, args.window, "mode1")
     fit = fit_single(trace)
 
-    outdir = _write_sweep(args, dataset, {f"{args.prefix}_trace.csv": trace}, fit, fit.to_json_dict())
+    outdir, caveats = _write_sweep(args, dataset, {f"{args.prefix}_trace.csv": trace}, fit, fit.to_json_dict())
     print(f"single-sweep: fitted zeta={fit.zeta:.4f} eta={fit.eta:.4f} -> {outdir}")
-    return 0
+    return caveats
 
 
-def _cmd_epr_sweep(args) -> int:
+def _cmd_epr_sweep(args) -> list[str]:
     pipeline = PipelineConfig(
         zeta=args.zeta,
         relative_phase=args.relative_phase,
@@ -243,16 +240,16 @@ def _cmd_epr_sweep(args) -> int:
         "squeezing_db_at_model_min": squeezing_db(model_min),
     }
     named = {f"{args.prefix}_{target}_trace.csv": trace for target, trace in traces.items()}
-    outdir = _write_sweep(args, dataset, named, fit, fit_payload)
+    outdir, caveats = _write_sweep(args, dataset, named, fit, fit_payload)
     print(
         f"epr-sweep: fitted zeta={fit.zeta:.4f} eta={fit.eta:.4f}, "
         f"difference-trace min {trace_min:.4f} "
         f"({squeezing_db(trace_min):.2f} dB) -> {outdir}"
     )
-    return 0
+    return caveats
 
 
-def _cmd_tomography(args) -> int:
+def _cmd_tomography(args) -> list[str]:
     config = TomographyConfig(
         cutoff=args.cutoff,
         max_iterations=args.max_iterations,
@@ -289,18 +286,16 @@ def _cmd_tomography(args) -> int:
         caveats.append(f"stopped at --max-iterations {args.max_iterations} before converging")
     if diagnostics.phase_deficient:
         caveats.append("phase-deficient dataset (a mode has fewer than 3 distinct LO phases modulo π)")
-    if caveats:
-        print(f"eprsim: warning: tomography {'; '.join(caveats)}", file=sys.stderr)
     print(
         f"tomography: {diagnostics.iterations} iterations, "
         f"loglik {diagnostics.loglik:.2f}, mean photon "
         + "/".join(f"{v:.4f}" for v in summary["mean_photon"])
         + f" -> {outdir}"
     )
-    return 0
+    return caveats
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> list[str]:
     if args.kind == "single":
         if args.trace is None:
             raise ValueError("fit --kind single needs --trace")
@@ -314,9 +309,8 @@ def _cmd_fit(args) -> int:
 
     fit_name = f"{args.prefix}_fit.json"
     outdir = _write_outputs(args, {fit_name: partial(_write_json, payload=result.to_json_dict())})
-    _warn_weak_fit(args, result)
     print(f"fit: zeta={result.zeta:.4f} eta={result.eta:.4f} -> {outdir / fit_name}")
-    return 0
+    return _fit_caveats(result)
 
 
 def _design_rows(args) -> list[dict]:
@@ -330,11 +324,11 @@ def _design_rows(args) -> list[dict]:
             {"quantity": "beam_radius_over_waist", "value": value / args.w0, "unit": "dimensionless"},
         ]
     if args.quantity == "walkoff":
-        if args.preset is not None:
+        if args.preset is not None and args.v_pump is None and args.v_signal is None:
             # the manifest replays the preset as the velocities it stands for
             args.v_pump, args.v_signal = WALKOFF_PRESETS[args.preset]
             args.preset = None
-        elif args.v_pump is None or args.v_signal is None:
+        elif args.preset is not None or args.v_pump is None or args.v_signal is None:
             raise ValueError("walkoff needs --preset or both --v-pump and --v-signal")
         value = walkoff_path(args.length, args.v_pump, args.v_signal)
         return [{"quantity": "walkoff_path", "value": value, "unit": "m"}]
@@ -342,7 +336,7 @@ def _design_rows(args) -> list[dict]:
     return [{"quantity": "compensation_length", "value": value, "unit": "m"}]
 
 
-def _cmd_design(args) -> int:
+def _cmd_design(args) -> list[str]:
     try:
         rows = _design_rows(args)
     except ArithmeticError as exc:
@@ -352,7 +346,7 @@ def _cmd_design(args) -> int:
     print(json.dumps(rows, indent=2))
     if args.out is not None or os.environ.get(OUTDIR_ENV):
         _write_outputs(args, {f"{args.prefix}_design.json": partial(_write_json, payload=rows)})
-    return 0
+    return []
 
 
 def _add_common_output_options(parser, default_prefix: str) -> None:
@@ -377,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--rate", type=_finite_float, default=None, help="LO phase rate (rad/sample); default spans 4 trace periods"
     )
-    p.add_argument("--window", type=_positive_int, default=2000, help="samples per variance bin")
+    p.add_argument("--window", type=_int_at_least_2, default=2000, help="samples per variance bin")
     p.add_argument("--seed", type=_nonneg_int, default=1)
     p.add_argument("--write-dataset", action="store_true", help="also write the raw samples CSV")
     _add_common_output_options(p, "single")
@@ -396,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--rate", type=_finite_float, default=None, help="mode-1 LO phase rate (rad/sample); default spans 2 trace periods"
     )
-    p.add_argument("--window", type=_positive_int, default=2000)
+    p.add_argument("--window", type=_int_at_least_2, default=2000)
     p.add_argument("--seed", type=_nonneg_int, default=1)
     p.add_argument("--write-dataset", action="store_true")
     _add_common_output_options(p, "epr")
@@ -450,7 +444,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.handler(args)
+        caveats = args.handler(args)
     except DataFormatError as exc:
         print(f"eprsim: data format error: {exc}", file=sys.stderr)
         return 3
@@ -470,6 +464,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"eprsim: I/O error: {exc}", file=sys.stderr)
         return 1
+    for caveat in caveats:
+        print(f"eprsim: warning: {args.command} {caveat}", file=sys.stderr)
+    return 0
 
 
 def entry_point() -> None:

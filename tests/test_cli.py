@@ -116,6 +116,17 @@ class TestSingleSweep:
         assert f"give {n_bins} variance bins; the fit needs at least {fitting.MIN_BINS}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["single-sweep", "epr-sweep"])
+    def test_window_below_two_rejected_before_sampling(self, tmp_path, capsys, monkeypatch, command):
+        def no_sampling(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr("eprsim.cli.sample", no_sampling)
+        out = tmp_path / "untouched"
+        assert main([command, "--window", "1", "--out", str(out)]) == 2
+        assert "argument --window: must be >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exactly_min_bins_runs(self, tmp_path):
         # the console-script check of CI: 4000 records in windows of 500
         samples = str(500 * fitting.MIN_BINS)
@@ -285,6 +296,10 @@ class TestTomographyCommand:
         assert line.startswith("eprsim: warning: ") and "--max-iterations 2" in line
         (line,) = run(fixed)
         assert line.startswith("eprsim: warning: ") and "phase-deficient" in line
+        # one line per caveat, the iteration cap first
+        capped, deficient = run(fixed, "--max-iterations", "2")
+        assert capped == "eprsim: warning: tomography stopped at --max-iterations 2 before converging"
+        assert deficient == line
 
     def test_non_ascii_byte_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -523,10 +538,12 @@ class TestDesignCommand:
         assert "--wavelength" in capsys.readouterr().err
 
     def test_walkoff_needs_preset_or_velocities(self, tmp_path, capsys):
-        rc = main(["design", "walkoff", "--length", "1mm", "--v-pump", "0.4", "--out", str(tmp_path)])
-        assert rc == 2
-        assert "--preset or both --v-pump and --v-signal" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+        # one velocity alone, or a preset mixed with a velocity
+        for velocities in (["--v-pump", "0.4"], ["--preset", "ppktp", "--v-pump", "0.9"]):
+            rc = main(["design", "walkoff", "--length", "1mm", *velocities, "--out", str(tmp_path)])
+            assert rc == 2
+            assert "--preset or both --v-pump and --v-signal" in capsys.readouterr().err
+            assert not list(tmp_path.iterdir())
 
     def test_bad_unit_token_reported(self, capsys):
         rc = main(["design", "rayleigh", "--w0", "12.4lightyears", "--wavelength", "390nm"])
@@ -825,3 +842,14 @@ class TestModuleEntry:
             "--trace-diff", str(tmp_path / "epr_difference_trace.csv"),
         ]
         assert loaded(("scipy.optimize",), "fit", "--kind", "epr", *traces, "--out", out) == []
+
+    def test_import_of_optics_loads_no_numpy(self):
+        # the package root re-exports nothing, so the design arithmetic and
+        # the exception types load without the numerical modules
+        src = str(Path(eprsim.__file__).resolve().parents[1])
+        code = "import sys, eprsim, eprsim.errors, eprsim.optics\n"
+        code += "print(*sorted(m for m in sys.modules if m.startswith('numpy')))"
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == []

@@ -90,8 +90,9 @@ class SweepConfig:
         return out.T
 
 
-# records sampled, binned, formatted per write, parsed per step and turned
-# into MaxLik features (tomography._mode_features) per block
+# records sampled, binned, formatted per write, parsed per step, turned
+# into MaxLik features (tomography._mode_features) and passed through one
+# block of MaxLik scratch (tomography._ProjectorFeatures) per block
 _BLOCK_ROWS = 16384
 
 

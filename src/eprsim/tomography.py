@@ -25,10 +25,12 @@ array with one contiguous row per feature.  One mode gets a second factor
 that spans the 1-dimensional space, the single feature 1 in the basis
 [[1]], so every dataset has two factors of D_1 and D_2 features.  With r
 the real D_1 x D_2 coordinates of a candidate rho, the likelihoods are
-Tr(rho Pi_j) = phi_1(j)^T r phi_2(j), one real GEMM r^T Phi_1 and a
+Tr(rho Pi_j) = phi_1(j)^T r phi_2(j), a real GEMM r^T Phi_1 and a
 column-dot with Phi_2; R has the coordinates Phi_1 diag(w) Phi_2^T: w
-times each row of Phi_2 and one real GEMM.  Only the d x d matrices A, rho
-and R are complex.
+times each row of Phi_2 and a real GEMM.  Both passes run one block of
+homodyne._BLOCK_ROWS records at a time through one D_2 x _BLOCK_ROWS
+scratch, and R's coordinates are summed block by block in record order.
+Only the d x d matrices A, rho and R are complex.
 """
 
 from __future__ import annotations
@@ -132,19 +134,36 @@ class _ProjectorFeatures:
             self.second = np.broadcast_to(1.0, (1, data.n_samples))  # a view, nothing allocated
         self.dims = (cutoff + 1, math.isqrt(len(self.second)))
         self.bases = tuple(_hermitian_basis(k) for k in self.dims)
-        # one temporary, shared by the likelihoods and R's weighted features
-        self.scratch = np.empty(self.second.shape)
+        # one block of temporary, D_2 x _BLOCK_ROWS, shared by the likelihood
+        # and R passes, which walk the records one block at a time
+        self.scratch = np.empty(len(self.second) * min(_BLOCK_ROWS, data.n_samples))
+
+    def _blocks(self):
+        """Each block's records, with the (D_2, records) scratch view for them."""
+        d2, m = self.second.shape
+        for start in range(0, m, _BLOCK_ROWS):
+            rows = slice(start, min(start + _BLOCK_ROWS, m))
+            yield rows, self.scratch[: d2 * (rows.stop - start)].reshape(d2, -1)
 
     def likelihoods(self, rho: np.ndarray) -> np.ndarray:
         """Tr(rho Pi_j) = phi_1(j)^T r phi_2(j)."""
         coords = self._coordinates(rho)
-        np.matmul(coords.T, self.first, out=self.scratch)
-        return np.einsum("km,km->m", self.scratch, self.second)
+        p = np.empty(self.second.shape[1])
+        for rows, scratch in self._blocks():
+            np.matmul(coords.T, self.first[:, rows], out=scratch)
+            np.einsum("km,km->m", scratch, self.second[:, rows], out=p[rows])
+        return p
 
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
-        """sum_j w_j Pi_j, from its coordinates Phi_1 diag(w) Phi_2^T."""
-        np.multiply(self.second, weights, out=self.scratch)
-        return self._from_coordinates(self.first @ self.scratch.T)
+        """sum_j w_j Pi_j, from its coordinates Phi_1 diag(w) Phi_2^T, summed
+        block by block in record order."""
+        # summed as the transpose Phi_2 diag(w) Phi_1^T: that product order
+        # runs an R pass about 15 % faster at 50k records than Phi_1 (w Phi_2)^T
+        coords_t = np.zeros((len(self.second), len(self.first)))
+        for rows, scratch in self._blocks():
+            np.multiply(self.second[:, rows], weights[rows], out=scratch)
+            coords_t += scratch @ self.first[:, rows].T
+        return self._from_coordinates(coords_t.T)
 
     def _coordinates(self, matrix: np.ndarray) -> np.ndarray:
         (n1, n2), (basis1, basis2) = self.dims, self.bases

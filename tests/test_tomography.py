@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from eprsim import tomography
 from eprsim.errors import IllConditionedDatumError
 from eprsim.fock import fidelity, loss_fock, quad_covariance, tmsv_fock
 from eprsim.gaussian import PipelineConfig, epr_pipeline, loss, squeeze, vacuum
-from eprsim.homodyne import PhaseSchedule, QuadratureDataset, SweepConfig, sample
+from eprsim.homodyne import _BLOCK_ROWS, PhaseSchedule, QuadratureDataset, SweepConfig, sample
 from eprsim.tomography import TomographyConfig, quad_wavefunction, reconstruct
 
 
@@ -106,7 +107,7 @@ class TestProjectorFeatures:
     @pytest.mark.parametrize(
         "cutoff, n_modes, m",
         [pytest.param(c, n, 300, id=f"{c}-{n}") for c in (2, 3, 4, 5, 6) for n in (1, 2)]
-        # crosses the 16384-record homodyne._BLOCK_ROWS boundary of _mode_features
+        # crosses the 16384-record homodyne._BLOCK_ROWS boundary of _mode_features and the passes
         + [pytest.param(3, 2, 16_500, id="3-2-16500")],
     )
     def test_matches_complex_overlaps(self, cutoff, n_modes, m):
@@ -128,19 +129,44 @@ class TestProjectorFeatures:
     @pytest.mark.parametrize("cutoff", [2, 4, 6])
     def test_one_mode_pass_is_bit_exact(self, cutoff):
         # one mode through the two-factor path against the matvec forms it
-        # replaced: likelihoods r^T Phi and R's coordinates Phi w, bit for bit
+        # replaced, bit for bit: likelihoods r^T Phi, and R's coordinates
+        # Phi w summed block by block of _BLOCK_ROWS records in record order
         rng = np.random.default_rng(70 + cutoff)
         m = 20_000
         data = QuadratureDataset(thetas=rng.uniform(0.0, 2 * math.pi, (m, 1)), xs=rng.normal(0.0, 0.8, (m, 1)))
         features = tomography._ProjectorFeatures(data, cutoff)
         basis = tomography._hermitian_basis(cutoff + 1)
+        blocks = [slice(start, start + _BLOCK_ROWS) for start in range(0, m, _BLOCK_ROWS)]
         for _ in range(3):
             rho = _random_state(rng, cutoff + 1)
             coords = (basis.conj() @ rho.ravel()).real
             assert np.array_equal(features.likelihoods(rho), coords @ features.first)
             weights = rng.uniform(0.1, 2.0, m)
-            expected_r = ((features.first @ weights) @ basis).reshape(cutoff + 1, cutoff + 1)
+            r_coords = sum(features.first[:, rows] @ weights[rows] for rows in blocks)
+            expected_r = (r_coords @ basis).reshape(cutoff + 1, cutoff + 1)
             assert np.array_equal(features.weighted_sum(weights), expected_r)
+
+    def test_passes_hold_one_block_of_scratch(self):
+        # two modes over three blocks and a remainder: above the features, a
+        # likelihood and an R pass hold one D x _BLOCK_ROWS block of scratch
+        # and a few record-length vectors, not another D x M array
+        cutoff, m = 4, 3 * _BLOCK_ROWS + 7
+        d = (cutoff + 1) ** 2
+        rng = np.random.default_rng(80)
+        data = QuadratureDataset(thetas=rng.uniform(0.0, 2 * math.pi, (m, 2)), xs=rng.normal(0.0, 0.8, (m, 2)))
+        rho = _random_state(rng, d)
+        weights = rng.uniform(0.1, 2.0, m)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            features = tomography._ProjectorFeatures(data, cutoff)
+            features.likelihoods(rho)
+            features.weighted_sum(weights)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        extra = peak - features.first.nbytes - features.second.nbytes
+        assert extra < 8 * (d * _BLOCK_ROWS + 4 * m)
 
 
 def _two_mode_small():

@@ -299,10 +299,14 @@ def _cmd_fit(args) -> list[str]:
     if args.kind == "single":
         if args.trace is None:
             raise ValueError("fit --kind single needs --trace")
+        if args.trace_sum is not None or args.trace_diff is not None:
+            raise ValueError("fit --kind single takes no --trace-sum or --trace-diff")
         result = fit_single(VarianceTrace.from_csv(args.trace))
     else:
         if args.trace_sum is None or args.trace_diff is None:
             raise ValueError("fit --kind epr needs --trace-sum and --trace-diff")
+        if args.trace is not None:
+            raise ValueError("fit --kind epr takes no --trace")
         result = fit_epr(
             VarianceTrace.from_csv(args.trace_sum), VarianceTrace.from_csv(args.trace_diff)
         )

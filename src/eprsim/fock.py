@@ -97,16 +97,6 @@ class FockDensityMatrix:
             "entries": entries,
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: dict, tail_tol: float = 1e-3) -> "FockDensityMatrix":
-        if payload.get("basis") != FOCK_BASIS_LABEL:
-            raise ValueError(f"unknown basis {payload.get('basis')!r}")
-        n_modes = int(payload["n_modes"])
-        cutoff = int(payload["cutoff"])
-        dim = (cutoff + 1) ** n_modes
-        flat = np.array([complex(re, im) for re, im in payload["entries"]])
-        return cls(n_modes, cutoff, flat.reshape(dim, dim), tail_tol)
-
 
 @dataclass(frozen=True)
 class TruncationReport:

@@ -29,8 +29,6 @@ VACUUM_VARIANCE = 0.5
 _SYMMETRY_TOL = 1e-12
 _PHYSICALITY_TOL = 1e-10
 
-COVARIANCE_CONVENTION = "vacuum=0.5"
-
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal [[0, 1], [-1, 0]] encoding the canonical commutators."""
@@ -83,21 +81,6 @@ class GaussianState:
         _require_mode(self, mode)
         sl = slice(2 * mode, 2 * mode + 2)
         return np.array(self.cov[sl, sl])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_modes": self.n_modes,
-            "convention": COVARIANCE_CONVENTION,
-            "cov": [list(row) for row in self.cov],
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "GaussianState":
-        if payload.get("convention") != COVARIANCE_CONVENTION:
-            raise ValueError(
-                f"unknown covariance convention {payload.get('convention')!r}"
-            )
-        return cls(int(payload["n_modes"]), np.array(payload["cov"], dtype=float))
 
 
 def vacuum(n_modes: int) -> GaussianState:
@@ -287,28 +270,6 @@ def epr_pipeline(config: PipelineConfig) -> GaussianState:
     state = loss(state, 0, config.eta)
     state = loss(state, 1, config.eta)
     return state
-
-
-def joint_position_pdf(state: GaussianState, grid) -> np.ndarray:
-    """Bivariate probability density of the two position quadratures.
-
-    `grid` is a sequence of (x1, x2) points; the zero-mean Gaussian density
-    with covariance equal to the (x1, x2) submatrix is evaluated at each.
-    """
-    if state.n_modes < 2:
-        raise ValueError("joint position density needs at least 2 modes")
-    pts = np.atleast_2d(np.asarray(grid, dtype=float))
-    if pts.shape[1] != 2:
-        raise ValueError("grid must be a sequence of (x1, x2) pairs")
-    sub = state.cov[np.ix_([0, 2], [0, 2])]
-    det = sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
-    if det <= 0 or sub[0, 0] <= 0:
-        raise RuntimeError(
-            "internal error: position submatrix is not positive definite"
-        )
-    inv = np.array([[sub[1, 1], -sub[0, 1]], [-sub[1, 0], sub[0, 0]]]) / det
-    quad = np.einsum("ki,ij,kj->k", pts, inv, pts)
-    return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
 
 
 # Closed-form variance curves of the squeezed-then-lossy family.  These are

@@ -16,8 +16,8 @@ from eprsim import fitting
 from eprsim.fitting import FitResult, fit_sinusoid, levenberg_marquardt
 from eprsim.fock import gaussian_to_fock, mean_photon
 from eprsim.gaussian import PipelineConfig, epr_pipeline, vacuum
-from eprsim.homodyne import PhaseSchedule, SweepConfig, VarianceTrace, sample
-from eprsim.tomography import TomographyConfig
+from eprsim.homodyne import PhaseSchedule, QuadratureDataset, SweepConfig, VarianceTrace, sample
+from eprsim.tomography import TomographyConfig, reconstruct
 
 
 def read_json(path: Path):
@@ -260,6 +260,10 @@ class TestTomographyCommand:
         state_payload = read_json(tmp_path / "tomo_state.json")
         assert state_payload["n_modes"] == 2
         assert state_payload["cutoff"] == 3
+        # the written entries are an in-process reconstruction of the same CSV, bit for bit
+        rho, _ = reconstruct(QuadratureDataset.from_csv(data_path), TomographyConfig(cutoff=3, stop_tol=1e-7))
+        written = np.array([complex(re, im) for re, im in state_payload["entries"]]).reshape(rho.dim, rho.dim)
+        np.testing.assert_array_equal(written.view(np.uint64), rho.matrix.view(np.uint64))
 
     def test_vacuum_dataset(self, tmp_path):
         config = SweepConfig(
@@ -445,10 +449,32 @@ class TestFitCommand:
         assert capped == "eprsim: warning: epr-sweep fit did not converge\n"
         assert read_json(tmp_path / "epr_fit.json")["converged"] is False
 
-    def test_single_kind_needs_trace(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--kind", "single"], "fit --kind single needs --trace"),
+            (
+                ["--kind", "single", "--trace", "T", "--trace-sum", "T"],
+                "fit --kind single takes no --trace-sum or --trace-diff",
+            ),
+            (
+                ["--kind", "single", "--trace", "T", "--trace-diff", "T"],
+                "fit --kind single takes no --trace-sum or --trace-diff",
+            ),
+            (
+                ["--kind", "epr", "--trace", "T", "--trace-sum", "T", "--trace-diff", "T"],
+                "fit --kind epr takes no --trace",
+            ),
+        ],
+        ids=["single-without-trace", "single-with-trace-sum", "single-with-trace-diff", "epr-with-trace"],
+    )
+    def test_single_kind_needs_trace(self, tmp_path, capsys, flags, message):
+        # T is a readable trace, so only the flag check can stop the run
+        trace = write_single_trace(tmp_path / "trace.csv", *single_trace_rows())
         out = tmp_path / "untouched"
-        assert main(["fit", "--kind", "single", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "eprsim: invalid parameters: fit --kind single needs --trace\n"
+        argv = [str(trace) if flag == "T" else flag for flag in flags]
+        assert main(["fit", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"eprsim: invalid parameters: {message}\n"
         assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):

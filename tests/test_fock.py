@@ -403,5 +403,9 @@ class TestValidation:
 
     def test_json_round_trip_bit_exact(self):
         rho = lossy_tmsv(0.44, 0.5, 4)
-        again = FockDensityMatrix.from_json_dict(rho.to_json_dict())
-        np.testing.assert_array_equal(again.matrix, rho.matrix)
+        payload = rho.to_json_dict()
+        assert payload["basis"] == "fock |n1 n2> lexicographic"
+        assert (payload["n_modes"], payload["cutoff"]) == (2, 4)
+        # row-major [re, im] pairs rebuild the matrix bit for bit
+        again = np.array([complex(re, im) for re, im in payload["entries"]]).reshape(rho.dim, rho.dim)
+        np.testing.assert_array_equal(again.view(np.uint64), rho.matrix.view(np.uint64))

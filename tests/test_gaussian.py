@@ -10,7 +10,6 @@ from eprsim.gaussian import (
     beamsplit_matrix,
     epr_pipeline,
     epr_variance,
-    joint_position_pdf,
     joint_quad_variance,
     loss,
     phase_matrix,
@@ -61,11 +60,6 @@ class TestStateValidation:
         state = vacuum(1)
         with pytest.raises(ValueError):
             state.cov[0, 0] = 1.0
-
-    def test_json_round_trip(self):
-        state = epr_pipeline(PipelineConfig(zeta=0.44, eta=0.5))
-        again = GaussianState.from_json_dict(state.to_json_dict())
-        np.testing.assert_array_equal(again.cov, state.cov)
 
 
 class TestSqueeze:
@@ -261,6 +255,12 @@ class TestEprPipeline:
         assert state.cov[1, 3] < 0
         assert state.cov[0, 2] == pytest.approx(0.25 * math.sinh(0.88), abs=1e-12)
 
+    def test_pipeline_correlation_coefficient(self):
+        state = epr_pipeline(PipelineConfig(zeta=0.44, eta=0.50))
+        sub = state.cov[np.ix_([0, 2], [0, 2])]
+        corr = sub[0, 1] / math.sqrt(sub[0, 0] * sub[1, 1])
+        assert corr == pytest.approx(0.41364444218713514, abs=1e-12)
+
     def test_mismatch_breaks_thermal_flatness(self):
         state = epr_pipeline(PipelineConfig(zeta=0.44, eta=0.50, mismatch=0.05))
         v0 = quad_variance(state, 0, 0.0)
@@ -281,34 +281,6 @@ class TestEprPipeline:
             PipelineConfig(zeta=0.1, eta=1.3)
         with pytest.raises(ValueError):
             PipelineConfig(zeta=0.1, mismatch=-0.2)
-
-
-class TestJointPositionPdf:
-    def test_vacuum_at_origin(self):
-        assert joint_position_pdf(vacuum(2), [(0.0, 0.0)])[0] == pytest.approx(
-            1.0 / math.pi, abs=1e-12
-        )
-
-    def test_pipeline_correlation_coefficient(self):
-        state = epr_pipeline(PipelineConfig(zeta=0.44, eta=0.50))
-        sub = state.cov[np.ix_([0, 2], [0, 2])]
-        corr = sub[0, 1] / math.sqrt(sub[0, 0] * sub[1, 1])
-        assert corr == pytest.approx(0.41364444218713514, abs=1e-12)
-
-    def test_point_symmetry(self):
-        state = epr_pipeline(PipelineConfig(zeta=0.6, eta=0.8))
-        pts = np.array([[0.3, -1.2], [1.0, 0.4], [-2.0, 0.9]])
-        np.testing.assert_allclose(
-            joint_position_pdf(state, pts), joint_position_pdf(state, -pts), atol=1e-15
-        )
-
-    def test_normalization(self):
-        state = epr_pipeline(PipelineConfig(zeta=0.44, eta=0.5))
-        xs = np.linspace(-6, 6, 301)
-        grid = np.array([(a, b) for a in xs for b in xs])
-        pdf = joint_position_pdf(state, grid).reshape(301, 301)
-        total = np.trapezoid(np.trapezoid(pdf, xs, axis=1), xs)
-        assert total == pytest.approx(1.0, abs=1e-6)
 
 
 class TestInvariants:

@@ -285,7 +285,7 @@ def _cmd_tomography(args) -> list[str]:
     if not diagnostics.converged:
         caveats.append(f"stopped at --max-iterations {args.max_iterations} before converging")
     if diagnostics.phase_deficient:
-        caveats.append("phase-deficient dataset (a mode has fewer than 3 distinct LO phases modulo π)")
+        caveats.append("phase-deficient dataset (a mode's LO phases do not resolve 3 quadrature directions modulo π)")
     print(
         f"tomography: {diagnostics.iterations} iterations, "
         f"loglik {diagnostics.loglik:.2f}, mean photon "
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tomography", help="maximum-likelihood reconstruction from a dataset CSV")
     p.add_argument("--input", required=True, help="dataset CSV (homodyne format)")
-    p.add_argument("--cutoff", type=_positive_int, default=TomographyConfig.cutoff, help="Fock cutoff per mode")
+    p.add_argument("--cutoff", type=_int_at_least_2, default=TomographyConfig.cutoff, help="Fock cutoff per mode")
     p.add_argument("--max-iterations", type=_positive_int, default=TomographyConfig.max_iterations)
     p.add_argument("--stop-tol", type=_positive_float, default=TomographyConfig.stop_tol)
     p.add_argument("--ref-zeta", type=_nonneg_float, default=None, help="reference state squeezing")

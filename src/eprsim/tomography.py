@@ -31,6 +31,14 @@ times each row of Phi_2 and a real GEMM.  Both passes run one block of
 homodyne._BLOCK_ROWS records at a time through one D_2 x _BLOCK_ROWS
 scratch, and R's coordinates are summed block by block in record order.
 Only the d x d matrices A, rho and R are complex.
+
+A mode's records identify its covariance only if its LO phases span the
+second-moment design (cos^2 theta, sin^2 theta, 2 sin theta cos theta), the
+design a covariance regression solves on (D'Auria et al., PRL 102, 020502
+(2009)).  _second_moment_ranks gives each mode's numerical rank of it, and
+TomographyDiagnostics.phase_deficient is "some mode's rank < 3": fewer than
+3 quadrature directions modulo pi, resolved to the relative eigenvalue
+tolerance _RANK_RTOL.
 """
 
 from __future__ import annotations
@@ -50,6 +58,9 @@ _MEMORY = 8  # (s, y) pairs kept by the L-BFGS ascent
 _FIRST_STEP = 0.1  # Frobenius length of a step taken with an empty memory; |A_0| = 1
 _ARMIJO = 1e-4  # sufficient-increase fraction of the predicted gain
 _HALVINGS = 30  # step halvings before a search gives up
+# a design Gram's eigenvalues at or below this fraction of its largest are zero;
+# a uniform sweep of span w leaves about w^4/180, so spans below ~3.7e-3 rad fail
+_RANK_RTOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -210,15 +221,25 @@ class TomographyDiagnostics:
         }
 
 
-def _phase_deficient(data: QuadratureDataset) -> bool:
-    """Whether some mode has fewer than 3 distinct LO phases modulo pi:
-    |theta + pi, x> = |theta, -x>, so phases pi apart measure one axis."""
+def _second_moment_ranks(data: QuadratureDataset) -> list[int]:
+    """Numerical rank of each mode's second-moment design, the columns
+    (cos^2 theta, sin^2 theta, 2 sin theta cos theta) that take the mode's
+    covariance (V_xx, V_pp, V_xp) to <x_theta^2>, one row per record.  The
+    3 x 3 Gram is summed one block of records at a time; its rank counts
+    the eigenvalues above _RANK_RTOL times the largest.  The columns are
+    pi-periodic, as |theta + pi, x> = |theta, -x> measures the same axis, so
+    rank 3 needs 3 directions modulo pi, resolved to that tolerance."""
+    ranks = []
     for m in range(data.n_modes):
-        folded = np.mod(data.thetas[:, m], math.pi)
-        folded[math.pi - folded < 1e-9] = 0.0
-        if len(np.unique(np.round(folded, 9))) < 3:
-            return True
-    return False
+        gram = np.zeros((3, 3))
+        for start in range(0, data.n_samples, _BLOCK_ROWS):
+            theta = data.thetas[start : start + _BLOCK_ROWS, m]
+            cos, sin = np.cos(theta), np.sin(theta)
+            design = np.stack([cos * cos, sin * sin, 2.0 * sin * cos])
+            gram += design @ design.T
+        eigenvalues = np.linalg.eigvalsh(gram)
+        ranks.append(int(np.count_nonzero(eigenvalues > _RANK_RTOL * eigenvalues[-1])))
+    return ranks
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -283,6 +304,7 @@ def reconstruct(
     """
     if data.n_samples == 0:
         raise ValueError("dataset is empty")
+    phase_deficient = min(_second_moment_ranks(data)) < 3
     features = _ProjectorFeatures(data, config.cutoff)
     dim = (config.cutoff + 1) ** data.n_modes
     a = np.eye(dim, dtype=complex) / math.sqrt(dim)
@@ -343,7 +365,7 @@ def reconstruct(
     diagnostics = TomographyDiagnostics(
         iterations=iterations,
         loglik=loglik,
-        phase_deficient=_phase_deficient(data),
+        phase_deficient=phase_deficient,
         converged=converged,
         evaluations=evaluations,
         loglik_history=history,

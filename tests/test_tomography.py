@@ -375,15 +375,41 @@ class TestReconstruct:
             ([0.3, 0.3 + math.pi, 1.1, 1.1 - 3 * math.pi] * 3, True),
             ([0.0, math.pi - 1e-12, 0.8, 2 * math.pi + 1e-12] * 3, True),
             ([0.0, 1.0 + math.pi, 2.0 - 2 * math.pi] * 4, False),
+            # thousands of distinct phases within 1e-3 rad resolve 2 directions, not 3
+            (np.linspace(0.0, 1e-3, 50_000), True),
+            (np.linspace(0.0, 0.1, 50_000), False),
+            ([0.0] * 3000 + [1.0] * 3000 + [2.0], False),
+            # a 2-D entry is the whole thetas array: one mode at two phases
+            ([[0.0], [1.0]] * 6, True),
         ],
     )
     def test_phase_deficiency_counts_phases_modulo_pi(self, phases, deficient):
         # |theta + pi, x> = |theta, -x>: phases pi apart measure one quadrature axis
         rng = np.random.default_rng(58)
-        thetas = np.column_stack([np.linspace(0.0, 3.0, len(phases)), phases])
+        phases = np.asarray(phases)
+        thetas = phases if phases.ndim == 2 else np.column_stack([np.linspace(0.0, 3.0, len(phases)), phases])
         data = QuadratureDataset(thetas=thetas, xs=rng.normal(0.0, 0.7, thetas.shape))
         _, diag = reconstruct(data, TomographyConfig(cutoff=3, max_iterations=3))
         assert diag.phase_deficient == deficient
+
+    @pytest.mark.parametrize(
+        "phases, n_samples, ranks",
+        [
+            # the phase-complete schedule: mode 1 over 11 periods, mode 2 over 4
+            (
+                (PhaseSchedule(0.0, 2 * math.pi * 11 / 50_000), PhaseSchedule(0.3, 2 * math.pi * 4 / 50_000)),
+                50_000,
+                [3, 3],
+            ),
+            # the README epr-sweep: mode 1 over its default 4 pi, mode 2 held at --theta2
+            ((PhaseSchedule(0.0, 4 * math.pi / 400_000), PhaseSchedule(0.0)), 400_000, [3, 1]),
+        ],
+        ids=["tomo-complete", "readme-held-theta2"],
+    )
+    def test_second_moment_ranks(self, phases, n_samples, ranks):
+        thetas = SweepConfig(phases=phases, n_samples=n_samples, seed=1).thetas()
+        data = QuadratureDataset(thetas=thetas, xs=np.zeros_like(thetas))
+        assert tomography._second_moment_ranks(data) == ranks
 
     def test_diagnostics_json_fields(self, monkeypatch):
         data = sample(

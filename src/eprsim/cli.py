@@ -424,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w0", type=_length, required=True, help="waist radius (e.g. 12.4um)")
     p.add_argument("--wavelength", type=_length, required=True, help="wavelength (e.g. 390nm)")
     p = quantities.add_parser("radius", help="beam radius at a distance from the waist")
-    p.add_argument("--z", type=_length, required=True, help="distance from the waist (e.g. 0.72mm)")
+    p.add_argument(
+        "--z", type=_length, required=True, help="distance from the waist (e.g. 0.72mm; a negative one as --z=-0.72mm)"
+    )
     p.add_argument("--w0", type=_length, required=True, help="waist radius (e.g. 12.4um)")
     p.add_argument("--wavelength", type=_length, required=True, help="wavelength (e.g. 390nm)")
     p = quantities.add_parser("walkoff", help="pump/signal walk-off path in a crystal")
@@ -433,7 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-pump", type=_positive_float, help="pump group velocity (fraction of c)")
     p.add_argument("--v-signal", type=_positive_float, help="signal group velocity (fraction of c)")
     p = quantities.add_parser("compensation", help="compensator length for a walk-off delay")
-    p.add_argument("--delay", type=_length, required=True, help="delay to compensate (e.g. 0.58mm)")
+    p.add_argument(
+        "--delay", type=_length, required=True, help="delay to compensate (e.g. 0.58mm; a negative one as --delay=-0.52mm)"
+    )
     p.add_argument("--dn-group", type=_finite_float, required=True, help="group-index difference of the compensator")
     for p in quantities.choices.values():
         _add_common_output_options(p, "design")

@@ -11,8 +11,9 @@ viewed as a tensor with one row and one column axis per mode.  Loss of
 transmissivity eta is the beam-splitter photon-loss channel of homodyne
 tomography, rho'_mn = sum_k sqrt(C(m+k,k) C(n+k,k)) eta^((m+n)/2) (1-eta)^k rho_{m+k,n+k}.
 
-`gaussian_to_fock` converts any zero-mean 1- or 2-mode covariance exactly;
-the closed-form squeezed states and channels here are its independent check.
+`gaussian_to_fock` converts any zero-mean 1- or 2-mode covariance exactly up
+to the cutoff and returns the result's trace deficit beside it; the
+closed-form squeezed states and channels here are its independent check.
 """
 
 from __future__ import annotations
@@ -96,20 +97,6 @@ class FockDensityMatrix:
             "basis": FOCK_BASIS_LABEL,
             "entries": entries,
         }
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    """What a Fock-space conversion threw away.
-
-    `trace_deficit` is 1 - Tr(kept), exact because the kept entries are.
-    `largest_discarded_population` is the largest diagonal entry with some
-    photon number in cutoff + 1 .. cutoff + 2: it reaches two levels past the
-    cutoff, since a squeezed mode leaves every other level empty.
-    """
-
-    trace_deficit: float
-    largest_discarded_population: float
 
 
 def destroy(dim: int) -> np.ndarray:
@@ -269,7 +256,7 @@ def _hermite_table(a: np.ndarray, t: float, dim: int) -> np.ndarray:
 
 def gaussian_to_fock(
     state: GaussianState, cutoff: int, tail_tol: float = 1e-3
-) -> tuple[FockDensityMatrix, TruncationReport]:
+) -> tuple[FockDensityMatrix, float]:
     """Convert a zero-mean 1- or 2-mode Gaussian state to Fock form, exactly.
 
     <m|rho|n> = T haf(A_{m+n}) / sqrt(m! n!) with Q = W V W^dag + I/2,
@@ -277,11 +264,12 @@ def gaussian_to_fock(
     to (a1, a2, a1^dag, a2^dag) and X swaps the a and a^dag halves (Kruse et
     al., PRA 100, 032326 (2019); with zero mean the loop hafnian is a
     hafnian).  The hafnians come from the Hermite recurrence of Miatto &
-    Quesada, Quantum 4, 366 (2020).  Every covariance, pure or mixed,
-    squeezed, thermal or separable, takes this one path.  Entries are
-    computed up to cutoff + 2 per mode, so the TruncationReport sees two
-    levels past the cutoff, and only the truncated result is validated.
-    Other mode counts raise UnsupportedStateError.
+    Quesada, Quantum 4, 366 (2020), which fills each entry from lower
+    indices only, so the table stops at the cutoff.  Every covariance, pure
+    or mixed, squeezed, thermal or separable, takes this one path.  Returns
+    the validated matrix and its trace deficit max(0, 1 - Tr rho), exact
+    because the kept entries are.  Other mode counts raise
+    UnsupportedStateError.
     """
     n = state.n_modes
     if n not in (1, 2):
@@ -291,18 +279,8 @@ def gaussian_to_fock(
     w = np.vstack([np.kron(np.eye(n), [[1.0, 1j]]), np.kron(np.eye(n), [[1.0, -1j]])]) / math.sqrt(2.0)
     q = w @ state.cov @ w.conj().T + 0.5 * np.eye(2 * n)
     a = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(n)) @ (np.eye(2 * n) - np.linalg.inv(q)).conj()
-    # two levels past the cutoff: a squeezed state's odd levels are empty
-    dim, wdim = cutoff + 1, cutoff + 3
-    table = _hermite_table(a, 1.0 / math.sqrt(np.linalg.det(q).real), wdim)
-
-    # rows are kets: keep photon numbers <= cutoff on every axis and
-    # discard each diagonal entry with some photon number above it
-    kept = table[(slice(dim),) * 2 * n].reshape(dim**n, dim**n)
-    discarded = np.ones((wdim,) * n, dtype=bool)
-    discarded[(slice(dim),) * n] = False
-    discarded_diag = np.diag(table.reshape(wdim**n, wdim**n)).real.reshape((wdim,) * n)[discarded]
-    report = TruncationReport(
-        trace_deficit=max(0.0, 1.0 - float(np.trace(kept).real)),
-        largest_discarded_population=float(discarded_diag.max()),
-    )
-    return FockDensityMatrix(n, cutoff, kept, tail_tol), report
+    dim = cutoff + 1
+    table = _hermite_table(a, 1.0 / math.sqrt(np.linalg.det(q).real), dim)
+    # the first n axes index the ket, the last n the bra
+    rho = FockDensityMatrix(n, cutoff, table.reshape(dim**n, dim**n), tail_tol)
+    return rho, max(0.0, 1.0 - float(np.trace(rho.matrix).real))

@@ -76,12 +76,6 @@ class GaussianState:
         cov.setflags(write=False)
         object.__setattr__(self, "cov", cov)
 
-    def mode_block(self, mode: int) -> np.ndarray:
-        """2x2 covariance block of a single mode."""
-        _require_mode(self, mode)
-        sl = slice(2 * mode, 2 * mode + 2)
-        return np.array(self.cov[sl, sl])
-
 
 def vacuum(n_modes: int) -> GaussianState:
     """n-mode vacuum: cov = 0.5 * identity."""
@@ -272,9 +266,9 @@ def epr_pipeline(config: PipelineConfig) -> GaussianState:
     return state
 
 
-# Closed-form variance curves of the squeezed-then-lossy family.  These are
-# the analytic references the matrix pipeline is tested against, and the
-# models the fitting module extracts parameters with.
+# Closed-form variance curves of the squeezed-then-lossy family.  The tests
+# and the benchmark self-test check the matrix pipeline and the fits against
+# them, and the command line takes its model minimum from epr_variance.
 
 def single_mode_variance(zeta, eta, theta):
     """Quadrature variance of a squeezed vacuum after a loss channel:

@@ -65,21 +65,10 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def quad_wavefunction(n: int, x) -> np.ndarray | float:
-    """Harmonic-oscillator eigenfunction psi_n(x) in the vacuum-variance-0.5
-    convention, computed by the stable upward recurrence
-    psi_{n+1} = (sqrt(2) x psi_n - sqrt(n) psi_{n-1}) / sqrt(n+1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    psi = _wavefunction_table(n, x)[n]
-    return float(psi[0]) if scalar else psi
-
-
 def _wavefunction_table(n_max: int, x: np.ndarray) -> np.ndarray:
-    """psi_n(x) for all n = 0..n_max, shape (n_max + 1, len(x))."""
+    """Harmonic-oscillator eigenfunctions psi_n(x) for all n = 0..n_max, shape
+    (n_max + 1, len(x)), in the vacuum-variance-0.5 convention, by the stable
+    upward recurrence psi_{n+1} = (sqrt(2) x psi_n - sqrt(n) psi_{n-1}) / sqrt(n+1)."""
     table = np.empty((n_max + 1, len(x)))
     table[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
     if n_max >= 1:

@@ -558,6 +558,26 @@ class TestDesignCommand:
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["value"] == pytest.approx(3.6e-3, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compensation", "--delay", "-0.52mm", "--dn-group", "0.1611"],
+            ["radius", "--z", "-0.72mm", "--w0", "12.4um", "--wavelength", "390nm"],
+        ],
+        ids=["compensation-delay", "radius-z"],
+    )
+    def test_negative_length_needs_equals_form(self, tmp_path, capsys, argv):
+        # argparse reads a spaced "-0.52mm" as an option, not as the value
+        quantity, flag, value, *rest = argv
+        rc = main(["design", quantity, flag, value, *rest, "--out", str(tmp_path / "spaced")])
+        assert rc == 2
+        assert "expected one argument" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        rc = main(["design", quantity, f"{flag}={value}", *rest])
+        assert rc == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(row["value"]) for row in rows)
+
     def test_missing_parameters_usage_error(self, capsys):
         rc = main(["design", "rayleigh", "--w0", "12.4um"])
         assert rc == 2

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -267,15 +268,45 @@ class TestGaussianToFock:
 
     def test_trace_deficit_small_at_default_cutoff(self):
         state = epr_pipeline(PipelineConfig(zeta=0.44, eta=0.5))
-        rho, report = gaussian_to_fock(state, 5)
+        rho, deficit = gaussian_to_fock(state, 5)
         expected = lossy_tmsv(0.44, 0.5, 5)
         np.testing.assert_allclose(rho.matrix, expected.matrix, atol=1e-4)
-        assert report.trace_deficit < 1e-4
+        assert deficit < 1e-4
 
     def test_vacuum(self):
-        rho, report = gaussian_to_fock(vacuum(2), 3)
+        rho, deficit = gaussian_to_fock(vacuum(2), 3)
         assert rho.population(0, 0) == pytest.approx(1.0, abs=1e-12)
-        assert report.trace_deficit == pytest.approx(0.0, abs=1e-12)
+        assert deficit == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        ("state", "cutoff", "digest"),
+        [
+            (
+                epr_pipeline(PipelineConfig(zeta=0.44, eta=0.5)),
+                4,
+                "9f2f67e806388d1ced902457f7f25a9bac8788298c6c2ca530d4f1ec9d157db6",
+            ),
+            (
+                loss(squeeze(vacuum(1), 0, 0.44), 0, 0.52),
+                4,
+                "c9ae439598568b228420ea757eb4b8fc86ef52f673c5a56c51e1a34e45360f7d",
+            ),
+            (
+                epr_pipeline(PipelineConfig(zeta=0.44, relative_phase=0.3, eta=0.5, mismatch=0.2)),
+                8,
+                "06ffd184ae94f344cb76c1ea45fa75ec1c043e7285bfba725ed5c86a8dd15495",
+            ),
+        ],
+        ids=["readme-reference", "one-mode", "mismatched-pipeline"],
+    )
+    def test_matrix_bytes_pinned(self, state, cutoff, digest):
+        # sha256 of the matrix bytes as the conversion wrote them when its
+        # Hermite table still ran two levels past the cutoff: the recurrence
+        # fills each entry from lower indices only, so stopping at the
+        # cutoff changes no kept entry
+        rho, deficit = gaussian_to_fock(state, cutoff)
+        assert hashlib.sha256(rho.matrix.tobytes()).hexdigest() == digest
+        assert deficit == max(0.0, 1.0 - float(np.trace(rho.matrix).real))
 
     def test_single_mode_round_trip_covariance(self):
         state = loss(squeeze(vacuum(1), 0, 0.44), 0, 0.52)
@@ -294,24 +325,15 @@ class TestGaussianToFock:
             np.testing.assert_allclose(quad_covariance(rho), state.cov, atol=1e-3)
 
     def test_report_of_pure_states(self):
-        # pure states put the largest discarded population on the first
-        # level above the cutoff that they occupy: |6> and |44>
+        # the deficit is the population above the cutoff: a squeezed vacuum's
+        # levels 6, 8, ... and a TMSV's |44>, |55>, ...
         zeta = 0.6
-        _, report = gaussian_to_fock(squeeze(vacuum(1), 0, zeta), 5, tail_tol=1.0)
+        _, deficit = gaussian_to_fock(squeeze(vacuum(1), 0, zeta), 5, tail_tol=1.0)
         populations = squeezed_vacuum_fock(zeta, 13, tail_tol=1.0).matrix.diagonal().real
-        assert report.largest_discarded_population == pytest.approx(populations[6], rel=1e-12)
-        assert report.trace_deficit == pytest.approx(1.0 - populations[:6].sum(), rel=1e-9)
+        assert deficit == pytest.approx(1.0 - populations[:6].sum(), rel=1e-9)
         lam2 = math.tanh(zeta) ** 2
-        _, report = gaussian_to_fock(epr_pipeline(PipelineConfig(zeta=zeta)), 3, tail_tol=1.0)
-        assert report.largest_discarded_population == pytest.approx((1 - lam2) * lam2**4, rel=1e-12)
-        assert report.trace_deficit == pytest.approx(lam2**4, rel=1e-9)
-
-    def test_report_reaches_two_levels(self):
-        # at an even cutoff a squeezed vacuum's first occupied discarded
-        # level is cutoff + 2
-        _, report = gaussian_to_fock(squeeze(vacuum(1), 0, 0.6), 4, tail_tol=1.0)
-        populations = squeezed_vacuum_fock(0.6, 6, tail_tol=1.0).matrix.diagonal().real
-        assert report.largest_discarded_population == pytest.approx(populations[6], rel=1e-12)
+        _, deficit = gaussian_to_fock(epr_pipeline(PipelineConfig(zeta=zeta)), 3, tail_tol=1.0)
+        assert deficit == pytest.approx(lam2**4, rel=1e-9)
 
     @pytest.fixture(scope="class")
     def deep_lossy_tmsv(self):

@@ -154,7 +154,7 @@ class TestLoss:
     def test_zero_transmission_gives_vacuum(self):
         state = epr_pipeline(PipelineConfig(zeta=0.6))
         out = loss(state, 0, 0.0)
-        np.testing.assert_allclose(out.mode_block(0), 0.5 * np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(out.cov[:2, :2], 0.5 * np.eye(2), atol=1e-12)
         np.testing.assert_allclose(out.cov[:2, 2:], np.zeros((2, 2)), atol=1e-12)
 
     def test_fig2a_operating_point(self):
@@ -350,7 +350,7 @@ class TestReduceModes:
     def test_keeps_selected_block(self):
         state = epr_pipeline(PipelineConfig(zeta=0.44, eta=0.5))
         single = reduce_modes(state, (1,))
-        np.testing.assert_allclose(single.cov, state.mode_block(1), atol=1e-15)
+        np.testing.assert_allclose(single.cov, state.cov[2:, 2:], atol=1e-15)
 
     def test_reorders(self):
         state = epr_pipeline(PipelineConfig(zeta=0.44, eta=0.5, mismatch=0.1))

@@ -10,7 +10,12 @@ from eprsim.errors import IllConditionedDatumError
 from eprsim.fock import fidelity, loss_fock, quad_covariance, tmsv_fock
 from eprsim.gaussian import PipelineConfig, epr_pipeline, loss, squeeze, vacuum
 from eprsim.homodyne import _BLOCK_ROWS, PhaseSchedule, QuadratureDataset, SweepConfig, sample
-from eprsim.tomography import TomographyConfig, quad_wavefunction, reconstruct
+from eprsim.tomography import TomographyConfig, reconstruct
+
+
+def wavefunction(n: int, x: float) -> float:
+    """psi_n(x) at one point, read off the library's wavefunction table."""
+    return float(tomography._wavefunction_table(n, np.atleast_1d(float(x)))[n, 0])
 
 
 def projector_overlaps(theta: float, x: float, cutoff: int) -> np.ndarray:
@@ -35,17 +40,17 @@ def complex_overlaps(data: QuadratureDataset, cutoff: int) -> np.ndarray:
 
 class TestQuadWavefunction:
     def test_ground_state_at_origin(self):
-        assert quad_wavefunction(0, 0.0) == pytest.approx(math.pi ** -0.25, abs=1e-14)
+        assert wavefunction(0, 0.0) == pytest.approx(math.pi ** -0.25, abs=1e-14)
 
     def test_vacuum_variance_by_quadrature(self):
-        value, _ = integrate(lambda x: quad_wavefunction(0, x) ** 2 * x * x, -12, 12)
+        value, _ = integrate(lambda x: wavefunction(0, x) ** 2 * x * x, -12, 12)
         assert value == pytest.approx(0.5, abs=1e-8)
 
     def test_orthonormality_by_quadrature(self):
         for n in range(11):
             for m in range(n, 11):
                 value, _ = integrate(
-                    lambda x: quad_wavefunction(n, x) * quad_wavefunction(m, x),
+                    lambda x: wavefunction(n, x) * wavefunction(m, x),
                     -14,
                     14,
                     limit=200,
@@ -54,13 +59,9 @@ class TestQuadWavefunction:
 
     def test_vectorized(self):
         xs = np.linspace(-3, 3, 11)
-        values = quad_wavefunction(4, xs)
+        values = tomography._wavefunction_table(4, xs)[4]
         assert values.shape == (11,)
-        assert values[5] == pytest.approx(quad_wavefunction(4, 0.0), abs=1e-14)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            quad_wavefunction(-1, 0.0)
+        assert values[5] == pytest.approx(wavefunction(4, 0.0), abs=1e-14)
 
 
 class TestProjectorOverlaps:
@@ -68,7 +69,7 @@ class TestProjectorOverlaps:
         vec = projector_overlaps(0.0, 0.7, 8)
         np.testing.assert_allclose(vec.imag, 0.0, atol=1e-15)
         for n in range(9):
-            assert vec[n].real == pytest.approx(quad_wavefunction(n, 0.7), abs=1e-14)
+            assert vec[n].real == pytest.approx(wavefunction(n, 0.7), abs=1e-14)
 
     def test_pi_phase_flips_odd_orders(self):
         base = projector_overlaps(0.0, 0.4, 6)
@@ -79,7 +80,7 @@ class TestProjectorOverlaps:
 
     def test_norm_independent_of_phase(self):
         # at x = 0 the squared norm is the direct sum over even orders
-        expected = sum(quad_wavefunction(n, 0.0) ** 2 for n in range(0, 11, 2))
+        expected = sum(wavefunction(n, 0.0) ** 2 for n in range(0, 11, 2))
         for theta in (0.0, 0.9, 2.4):
             vec = projector_overlaps(theta, 0.0, 10)
             assert np.sum(np.abs(vec) ** 2) == pytest.approx(expected, abs=1e-12)

@@ -370,48 +370,52 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("single-sweep", help="sample one squeezed mode under a swept LO phase")
     p.add_argument("--zeta", type=_nonneg_float, default=0.44, help="squeezing parameter")
     p.add_argument("--eta", type=_unit_interval, default=0.52, help="detection transmissivity")
-    p.add_argument("--samples", type=_positive_int, default=200_000)
+    p.add_argument("--samples", type=_positive_int, default=200_000, help="homodyne records to draw")
     p.add_argument("--theta0", type=_finite_float, default=0.0, help="LO phase at sample 0 (rad)")
     p.add_argument(
         "--rate", type=_finite_float, default=None, help="LO phase rate (rad/sample); default spans 4 trace periods"
     )
     p.add_argument("--window", type=_int_at_least_2, default=2000, help="samples per variance bin")
-    p.add_argument("--seed", type=_nonneg_int, default=1)
+    p.add_argument("--seed", type=_nonneg_int, default=1, help="seed of the sampling stream")
     p.add_argument("--write-dataset", action="store_true", help="also write the raw samples CSV")
     _add_common_output_options(p, "single")
     p.set_defaults(handler=_cmd_single_sweep)
 
     p = sub.add_parser("epr-sweep", help="sample the entangled pipeline output under a swept LO phase")
-    p.add_argument("--zeta", type=_nonneg_float, default=0.44)
-    p.add_argument("--eta", type=_unit_interval, default=0.50)
+    p.add_argument("--zeta", type=_nonneg_float, default=0.44, help="squeezing parameter")
+    p.add_argument("--eta", type=_unit_interval, default=0.50, help="detection transmissivity")
     p.add_argument(
         "--relative-phase", type=_finite_float, default=math.pi / 2, help="phase between the squeezed vacua (rad)"
     )
     p.add_argument("--mismatch", type=_unit_interval, default=0.0, help="interference-imperfection admixture")
-    p.add_argument("--samples", type=_positive_int, default=200_000)
+    p.add_argument("--samples", type=_positive_int, default=200_000, help="homodyne records to draw")
     p.add_argument("--theta0", type=_finite_float, default=0.0, help="mode-1 LO phase at sample 0 (rad)")
     p.add_argument("--theta2", type=_finite_float, default=0.0, help="fixed mode-2 LO phase (rad)")
     p.add_argument(
         "--rate", type=_finite_float, default=None, help="mode-1 LO phase rate (rad/sample); default spans 2 trace periods"
     )
-    p.add_argument("--window", type=_int_at_least_2, default=2000)
-    p.add_argument("--seed", type=_nonneg_int, default=1)
-    p.add_argument("--write-dataset", action="store_true")
+    p.add_argument("--window", type=_int_at_least_2, default=2000, help="samples per variance bin")
+    p.add_argument("--seed", type=_nonneg_int, default=1, help="seed of the sampling stream")
+    p.add_argument("--write-dataset", action="store_true", help="also write the raw samples CSV")
     _add_common_output_options(p, "epr")
     p.set_defaults(handler=_cmd_epr_sweep)
 
     p = sub.add_parser("tomography", help="maximum-likelihood reconstruction from a dataset CSV")
     p.add_argument("--input", required=True, help="dataset CSV (homodyne format)")
     p.add_argument("--cutoff", type=_int_at_least_2, default=TomographyConfig.cutoff, help="Fock cutoff per mode")
-    p.add_argument("--max-iterations", type=_positive_int, default=TomographyConfig.max_iterations)
-    p.add_argument("--stop-tol", type=_positive_float, default=TomographyConfig.stop_tol)
+    p.add_argument(
+        "--max-iterations", type=_positive_int, default=TomographyConfig.max_iterations, help="cap on accepted steps"
+    )
+    p.add_argument(
+        "--stop-tol", type=_positive_float, default=TomographyConfig.stop_tol, help="relative log L gain to stop at"
+    )
     p.add_argument("--ref-zeta", type=_nonneg_float, default=None, help="reference state squeezing")
     p.add_argument("--ref-eta", type=_unit_interval, default=None, help="reference state transmissivity")
     _add_common_output_options(p, "tomo")
     p.set_defaults(handler=_cmd_tomography)
 
     p = sub.add_parser("fit", help="fit a variance-trace CSV back to physical parameters")
-    p.add_argument("--kind", choices=("single", "epr"), required=True)
+    p.add_argument("--kind", choices=("single", "epr"), required=True, help="trace kind: one mode, or the EPR pair")
     p.add_argument("--trace", help="trace CSV (kind=single)")
     p.add_argument("--trace-sum", help="sum-quadrature trace CSV (kind=epr)")
     p.add_argument("--trace-diff", help="difference-quadrature trace CSV (kind=epr)")

@@ -90,18 +90,33 @@ class SweepConfig:
         return out.T
 
 
-# records sampled, binned, formatted per write, parsed per step, turned
-# into MaxLik features (tomography._mode_features) and passed through one
-# block of MaxLik scratch (tomography._ProjectorFeatures) per block
+# records per block: sampled, binned, formatted per write, parsed per step,
+# turned into MaxLik features (tomography._mode_features) and run through
+# each MaxLik pass (tomography._ProjectorFeatures)
 _BLOCK_ROWS = 16384
+
+
+def _blocks(n: int):
+    """The slices of `n` records, `_BLOCK_ROWS` at a time, in record order."""
+    for start in range(0, n, _BLOCK_ROWS):
+        yield slice(start, min(start + _BLOCK_ROWS, n))
+
+
+def _dataset_header(n_modes: int) -> str:
+    return "index" + "".join(f",theta{m + 1},x{m + 1}" for m in range(n_modes))
+
+
+def _trace_header(n_modes: int) -> str:
+    theta_cols = [f"theta{m + 1}_center" for m in range(n_modes)]
+    return ",".join(["bin_center_index", *theta_cols, "variance", "count"])
 
 
 def _write_csv(path, header: str, row_format: str, columns: list[np.ndarray]) -> None:
     """Write `header`, then one `row_format` line per row of `columns`."""
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
+        for rows in _blocks(len(columns[0])):
+            block = np.column_stack([c[rows] for c in columns])
             text = (row_format * len(block)) % tuple(block.ravel().tolist())
             fh.write(text.encode("ascii"))
 
@@ -116,10 +131,8 @@ def _read_lines(path) -> list[str]:
         raise DataFormatError(f"non-ASCII byte 0x{raw[exc.start]:02x}", line=line) from None
 
 
-def _read_csv(
-    path, kind: str, row_name: str, headers: tuple[str, ...], has_index: bool
-) -> tuple[list[str], np.ndarray]:
-    """Read a `kind` CSV whose header is one of `headers`.
+def _read_csv(path, kind: str, row_name: str, header_of, has_index: bool) -> tuple[list[str], np.ndarray]:
+    """Read a `kind` CSV whose header is `header_of(n_modes)` for 1 or 2 modes.
 
     Returns the file's lines and the values: one row per non-blank line
     after the header, the index field, if `has_index`, left out unparsed.
@@ -128,7 +141,7 @@ def _read_csv(
     if not lines:
         raise DataFormatError(f"empty {kind} file", line=1)
     header = lines[0].strip()
-    if header not in headers:
+    if header not in map(header_of, (1, 2)):
         raise DataFormatError(f"unrecognized {kind} header {header!r}", line=1)
     n_fields = header.count(",") + 1
     body = list(filter(str.strip, lines[1:]))
@@ -137,15 +150,15 @@ def _read_csv(
     if not body:
         raise DataFormatError(f"{kind} has no {row_name}", line=2)
     data = np.empty((len(body), n_fields - 1 if has_index else n_fields))
-    for start in range(0, len(body), _BLOCK_ROWS):
-        fields = ",".join(body[start : start + _BLOCK_ROWS]).split(",")
+    for rows in _blocks(len(body)):
+        fields = ",".join(body[rows]).split(",")
         if has_index:
             del fields[::n_fields]
         try:
             values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
         except ValueError:
             _raise_first_bad_line(lines, n_fields, has_index)
-        data[start : start + _BLOCK_ROWS] = values.reshape(-1, data.shape[1])
+        data[rows] = values.reshape(-1, data.shape[1])
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         _raise_at_row(lines, int(np.argmin(finite)), "values must be finite")
@@ -214,16 +227,14 @@ class QuadratureDataset:
         return self.thetas.shape[1]
 
     def to_csv(self, path) -> None:
-        header = "index" + "".join(f",theta{m + 1},x{m + 1}" for m in range(self.n_modes))
         columns = [np.arange(self.n_samples)]
         for m in range(self.n_modes):
             columns += [self.thetas[:, m], self.xs[:, m]]
-        _write_csv(path, header, "%d" + ",%.17g,%.17g" * self.n_modes + "\n", columns)
+        _write_csv(path, _dataset_header(self.n_modes), "%d" + ",%.17g,%.17g" * self.n_modes + "\n", columns)
 
     @classmethod
     def from_csv(cls, path) -> "QuadratureDataset":
-        headers = ("index,theta1,x1", "index,theta1,x1,theta2,x2")
-        _, data = _read_csv(path, "dataset", "records", headers, has_index=True)
+        _, data = _read_csv(path, "dataset", "records", _dataset_header, has_index=True)
         return cls(data[:, 0::2], data[:, 1::2])
 
 
@@ -265,18 +276,12 @@ class VarianceTrace:
         return self.theta_centers.shape[1]
 
     def to_csv(self, path) -> None:
-        theta_cols = [f"theta{m + 1}_center" for m in range(self.n_modes)]
-        header = ",".join(["bin_center_index", *theta_cols, "variance", "count"])
         columns = [self.bin_center_index, *self.theta_centers.T, self.variance, self.count]
-        _write_csv(path, header, "%.17g" + ",%.17g" * self.n_modes + ",%.17g,%d\n", columns)
+        _write_csv(path, _trace_header(self.n_modes), "%.17g" + ",%.17g" * self.n_modes + ",%.17g,%d\n", columns)
 
     @classmethod
     def from_csv(cls, path) -> "VarianceTrace":
-        headers = (
-            "bin_center_index,theta1_center,variance,count",
-            "bin_center_index,theta1_center,theta2_center,variance,count",
-        )
-        lines, data = _read_csv(path, "trace", "bins", headers, has_index=False)
+        lines, data = _read_csv(path, "trace", "bins", _trace_header, has_index=False)
         n_modes = data.shape[1] - 3
         whole = _positive_integers(data[:, -1])
         if not whole.all():
@@ -324,9 +329,8 @@ def sample(state: GaussianState, config: SweepConfig) -> QuadratureDataset:
         phases = thetas[:1, m] if config.phases[m].rate == 0.0 else thetas[rows, m]
         return np.cos(phases), np.sin(phases)
 
-    for start in range(0, config.n_samples, _BLOCK_ROWS):
-        rows = slice(start, min(start + _BLOCK_ROWS, config.n_samples))
-        z = _standard_normals(rng, (rows.stop - start, state.n_modes))
+    for rows in _blocks(config.n_samples):
+        z = _standard_normals(rng, (rows.stop - rows.start, state.n_modes))
         c1, s1 = cos_sin(0, rows)
         l11 = np.sqrt(c1**2 * cov[0, 0] + 2 * c1 * s1 * cov[0, 1] + s1**2 * cov[1, 1])
         np.multiply(l11, z[:, 0], out=x[0, rows])

@@ -27,10 +27,9 @@ that spans the 1-dimensional space, the single feature 1 in the basis
 the real D_1 x D_2 coordinates of a candidate rho, the likelihoods are
 Tr(rho Pi_j) = phi_1(j)^T r phi_2(j), a real GEMM r^T Phi_1 and a
 column-dot with Phi_2; R has the coordinates Phi_1 diag(w) Phi_2^T: w
-times each row of Phi_2 and a real GEMM.  Both passes run one block of
-homodyne._BLOCK_ROWS records at a time through one D_2 x _BLOCK_ROWS
-scratch, and R's coordinates are summed block by block in record order.
-Only the d x d matrices A, rho and R are complex.
+times each row of Phi_2 and a real GEMM.  Both passes walk the records
+one homodyne block at a time, and R's coordinates are summed block by
+block in record order.  Only the d x d matrices A, rho and R are complex.
 
 A mode's records identify its covariance only if its LO phases span the
 second-moment design (cos^2 theta, sin^2 theta, 2 sin theta cos theta), the
@@ -51,7 +50,7 @@ import numpy as np
 
 from .errors import IllConditionedDatumError
 from .fock import FockDensityMatrix
-from .homodyne import _BLOCK_ROWS, QuadratureDataset
+from .homodyne import QuadratureDataset, _blocks
 
 _LIKELIHOOD_FLOOR = 1e-300
 _MEMORY = 8  # (s, y) pairs kept by the L-BFGS ascent
@@ -102,8 +101,7 @@ def _mode_features(thetas: np.ndarray, xs: np.ndarray, cutoff: int) -> np.ndarra
     that the temporaries stay small."""
     n = cutoff + 1
     out = np.empty((n * n, len(xs)))
-    for start in range(0, len(xs), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
+    for rows in _blocks(len(xs)):
         block = out[:, rows]
         psi = _wavefunction_table(cutoff, xs[rows])
         np.square(psi, out=block[:n])
@@ -134,24 +132,13 @@ class _ProjectorFeatures:
             self.second = np.broadcast_to(1.0, (1, data.n_samples))  # a view, nothing allocated
         self.dims = (cutoff + 1, math.isqrt(len(self.second)))
         self.bases = tuple(_hermitian_basis(k) for k in self.dims)
-        # one block of temporary, D_2 x _BLOCK_ROWS, shared by the likelihood
-        # and R passes, which walk the records one block at a time
-        self.scratch = np.empty(len(self.second) * min(_BLOCK_ROWS, data.n_samples))
-
-    def _blocks(self):
-        """Each block's records, with the (D_2, records) scratch view for them."""
-        d2, m = self.second.shape
-        for start in range(0, m, _BLOCK_ROWS):
-            rows = slice(start, min(start + _BLOCK_ROWS, m))
-            yield rows, self.scratch[: d2 * (rows.stop - start)].reshape(d2, -1)
 
     def likelihoods(self, rho: np.ndarray) -> np.ndarray:
         """Tr(rho Pi_j) = phi_1(j)^T r phi_2(j)."""
         coords = self._coordinates(rho)
         p = np.empty(self.second.shape[1])
-        for rows, scratch in self._blocks():
-            np.matmul(coords.T, self.first[:, rows], out=scratch)
-            np.einsum("km,km->m", scratch, self.second[:, rows], out=p[rows])
+        for rows in _blocks(len(p)):
+            np.einsum("km,km->m", coords.T @ self.first[:, rows], self.second[:, rows], out=p[rows])
         return p
 
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
@@ -160,9 +147,8 @@ class _ProjectorFeatures:
         # summed as the transpose Phi_2 diag(w) Phi_1^T, the product order
         # that OpenBLAS runs faster for this small result of a long sum
         coords_t = np.zeros((len(self.second), len(self.first)))
-        for rows, scratch in self._blocks():
-            np.multiply(self.second[:, rows], weights[rows], out=scratch)
-            coords_t += scratch @ self.first[:, rows].T
+        for rows in _blocks(len(weights)):
+            coords_t += (self.second[:, rows] * weights[rows]) @ self.first[:, rows].T
         return self._from_coordinates(coords_t.T)
 
     def _coordinates(self, matrix: np.ndarray) -> np.ndarray:
@@ -221,8 +207,8 @@ def _second_moment_ranks(data: QuadratureDataset) -> list[int]:
     ranks = []
     for m in range(data.n_modes):
         gram = np.zeros((3, 3))
-        for start in range(0, data.n_samples, _BLOCK_ROWS):
-            theta = data.thetas[start : start + _BLOCK_ROWS, m]
+        for rows in _blocks(data.n_samples):
+            theta = data.thetas[rows, m]
             cos, sin = np.cos(theta), np.sin(theta)
             design = np.stack([cos * cos, sin * sin, 2.0 * sin * cos])
             gram += design @ design.T

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -657,6 +658,23 @@ class TestCliPlumbing:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "eprsim" in capsys.readouterr().out
+
+    def test_every_option_has_help(self):
+        def leaves(parser):
+            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                yield parser
+            for sub in subs:
+                for child in sub.choices.values():
+                    yield from leaves(child)
+
+        missing = [
+            f"{parser.prog} {action.option_strings[-1]}"
+            for parser in leaves(build_parser())
+            for action in parser._actions
+            if action.option_strings and not (action.help or "").strip()
+        ]
+        assert missing == []
 
     @pytest.mark.parametrize(
         "argv, shown",

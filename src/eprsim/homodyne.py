@@ -11,12 +11,14 @@ contiguous memory.  Only the normals are drawn record by record,
 (z_1[, z_2]) per record, which fixes the PCG64 stream order.  A trace's
 theta centres are numpy's pairwise mean of each mode's windows.
 
-Sampling and binning work `_BLOCK_ROWS` records at a time: `sample` fills
-its preallocated output a block of records at a time (drawing the uniforms
-block by block gives the stream of one draw), and `binned_variance` forms
-values and variances over groups of whole bins.  Every expression keeps its
-operation order, so the bytes are those of one whole-array pass, and peak
-memory is the output plus a few blocks of temporaries.
+Sampling and binning walk the records in blocks through `_blocks`: `sample`
+fills its preallocated output `_BLOCK_ROWS` records at a time (drawing the
+uniforms block by block gives the stream of one draw), and `binned_variance`
+forms values and variances over blocks of whole bins, `_BLOCK_ROWS` rounded
+down to a multiple of the window (one bin if the window is longer).  Every
+expression keeps its operation order, so the bytes are those of one
+whole-array pass, and peak memory is the output plus a few blocks of
+temporaries.
 
 CSV formats (ASCII, LF line endings, 17 significant digits):
 
@@ -90,16 +92,18 @@ class SweepConfig:
         return out.T
 
 
-# records per block: sampled, binned, formatted per write, parsed per step,
-# turned into MaxLik features (tomography._mode_features) and run through
-# each MaxLik pass (tomography._ProjectorFeatures)
+# records per block: sampled, binned (rounded down to whole bins, at least
+# one), formatted per write, parsed per step, summed into the second-moment
+# Grams (tomography._second_moment_ranks), turned into MaxLik features
+# (tomography._mode_features) and run through each MaxLik pass
+# (tomography._ProjectorFeatures)
 _BLOCK_ROWS = 16384
 
 
-def _blocks(n: int):
-    """The slices of `n` records, `_BLOCK_ROWS` at a time, in record order."""
-    for start in range(0, n, _BLOCK_ROWS):
-        yield slice(start, min(start + _BLOCK_ROWS, n))
+def _blocks(n: int, rows: int = _BLOCK_ROWS):
+    """The slices of `n` records, `rows` at a time, in record order."""
+    for start in range(0, n, rows):
+        yield slice(start, min(start + rows, n))
 
 
 def _dataset_header(n_modes: int) -> str:
@@ -195,26 +199,42 @@ def _positive_integers(values) -> np.ndarray:
     return (values >= 1) & (values <= 2.0**53) & (np.floor(values) == values)
 
 
+def _frozen(values, dtype=float) -> np.ndarray:
+    """A read-only view of `values` as a `dtype` array: the caller's own array,
+    if it needs no conversion, is shared, not copied, and stays writeable."""
+    view = np.asarray(values, dtype=dtype).view()
+    view.setflags(write=False)
+    return view
+
+
+def _mode_columns(values) -> np.ndarray:
+    """`values` as a read-only float (n_samples, n_modes) view with each mode's
+    column contiguous; a 1-D array is one mode's column."""
+    columns = np.asarray(values, dtype=float)
+    if columns.ndim == 1:
+        columns = columns[:, np.newaxis]
+    if columns.ndim != 2:
+        raise ValueError(f"mode columns must be an (n_samples, n_modes) array, got shape {columns.shape}")
+    return _frozen(np.asfortranarray(columns))
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureDataset:
     """Homodyne records: per sample, the LO phases and measured quadratures,
     as read-only (n_samples, n_modes) arrays with each mode's column
-    contiguous."""
+    contiguous; a 1-D array is one mode's column."""
 
     thetas: np.ndarray
     xs: np.ndarray
 
     def __post_init__(self):
-        thetas = np.asfortranarray(np.atleast_2d(np.asarray(self.thetas, dtype=float)))
-        xs = np.asfortranarray(np.atleast_2d(np.asarray(self.xs, dtype=float)))
+        thetas, xs = _mode_columns(self.thetas), _mode_columns(self.xs)
         if thetas.shape != xs.shape:
             raise ValueError("thetas and xs must have matching shapes")
         if thetas.shape[1] not in (1, 2):
             raise ValueError("datasets hold 1 or 2 modes")
         if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(xs))):
             raise ValueError("phases and quadrature values must be finite")
-        thetas.setflags(write=False)
-        xs.setflags(write=False)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "xs", xs)
 
@@ -248,24 +268,23 @@ class VarianceTrace:
     count: np.ndarray
 
     def __post_init__(self):
-        bci = np.asarray(self.bin_center_index, dtype=float)
-        tc = np.atleast_2d(np.asarray(self.theta_centers, dtype=float))
-        var = np.asarray(self.variance, dtype=float)
+        bci = _frozen(self.bin_center_index)
+        tc = _mode_columns(self.theta_centers)
+        var = _frozen(self.variance)
         if not (len(bci) == tc.shape[0] == len(var) == len(self.count)):
             raise ValueError("trace columns must have equal length")
+        if tc.shape[1] not in (1, 2):
+            raise ValueError("traces hold 1 or 2 theta columns")
         if not all(np.all(np.isfinite(arr)) for arr in (bci, tc, var)):
             raise ValueError("trace columns must be finite")
         if np.any(var < 0):
             raise ValueError("variances must be non-negative")
         if not _positive_integers(self.count).all():
             raise ValueError("counts must be positive integers")
-        cnt = np.asarray(self.count, dtype=int)
-        for arr in (bci, tc, var, cnt):
-            arr.setflags(write=False)
         object.__setattr__(self, "bin_center_index", bci)
         object.__setattr__(self, "theta_centers", tc)
         object.__setattr__(self, "variance", var)
-        object.__setattr__(self, "count", cnt)
+        object.__setattr__(self, "count", _frozen(self.count, int))
 
     @property
     def n_bins(self) -> int:
@@ -350,8 +369,9 @@ def binned_variance(data: QuadratureDataset, window: int, target: str) -> Varian
 
     `target` selects mode1, mode2, or the sum/difference (x1 +/- x2)/sqrt(2).
     Records are grouped into consecutive bins of `window` samples; a trailing
-    remainder shorter than the window is dropped.  Values and variances are
-    formed over groups of whole bins of about `_BLOCK_ROWS` records each.
+    remainder shorter than the window is dropped.  One `_blocks` walk forms
+    the values and variances a block of whole bins at a time, `_BLOCK_ROWS`
+    records rounded down to whole bins (at least one bin per block).
     """
     if window < 2:
         raise ValueError("window must be >= 2")
@@ -363,22 +383,15 @@ def binned_variance(data: QuadratureDataset, window: int, target: str) -> Varian
     if n_bins < 1:
         raise ValueError("window larger than the dataset")
     xs = data.xs
+    combine = {"sum": np.add, "difference": np.subtract}.get(target)
     variance = np.empty(n_bins)
-    group = max(1, _BLOCK_ROWS // window)
-    for first in range(0, n_bins, group):
-        last = min(first + group, n_bins)
-        rows = slice(first * window, last * window)
-        if target == "mode1":
-            values = xs[rows, 0]
-        elif target == "mode2":
-            values = xs[rows, 1]
-        elif target == "sum":
-            values = xs[rows, 0] + xs[rows, 1]
-            values /= math.sqrt(2.0)
+    for rows in _blocks(n_bins * window, window * max(1, _BLOCK_ROWS // window)):
+        if combine is None:
+            values = xs[rows, _TARGETS.index(target)]  # mode1 or mode2: column 0 or 1
         else:
-            values = xs[rows, 0] - xs[rows, 1]
+            values = combine(xs[rows, 0], xs[rows, 1])
             values /= math.sqrt(2.0)
-        values.reshape(last - first, window).var(axis=1, ddof=1, out=variance[first:last])
+        values.reshape(-1, window).var(axis=1, ddof=1, out=variance[rows.start // window : rows.stop // window])
     idx = np.arange(n_bins) * float(window) + (window - 1) / 2
     used = n_bins * window
     theta_centers = data.thetas.T[:, :used].reshape(data.n_modes, n_bins, window).mean(axis=2)

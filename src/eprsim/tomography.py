@@ -199,22 +199,20 @@ class TomographyDiagnostics:
 def _second_moment_ranks(data: QuadratureDataset) -> list[int]:
     """Numerical rank of each mode's second-moment design, the columns
     (cos^2 theta, sin^2 theta, 2 sin theta cos theta) that take the mode's
-    covariance (V_xx, V_pp, V_xp) to <x_theta^2>, one row per record.  The
-    3 x 3 Gram is summed one block of records at a time; its rank counts
-    the eigenvalues above _RANK_RTOL times the largest.  The columns are
+    covariance (V_xx, V_pp, V_xp) to <x_theta^2>, one row per record.  One
+    `_blocks` walk serves all modes: each block adds every mode's 3 x 3 Gram
+    into a (modes, 3, 3) stack, and a mode's rank counts the eigenvalues of
+    its Gram above _RANK_RTOL times the largest.  The columns are
     pi-periodic, as |theta + pi, x> = |theta, -x> measures the same axis, so
     rank 3 needs 3 directions modulo pi, resolved to that tolerance."""
-    ranks = []
-    for m in range(data.n_modes):
-        gram = np.zeros((3, 3))
-        for rows in _blocks(data.n_samples):
-            theta = data.thetas[rows, m]
-            cos, sin = np.cos(theta), np.sin(theta)
-            design = np.stack([cos * cos, sin * sin, 2.0 * sin * cos])
-            gram += design @ design.T
-        eigenvalues = np.linalg.eigvalsh(gram)
-        ranks.append(int(np.count_nonzero(eigenvalues > _RANK_RTOL * eigenvalues[-1])))
-    return ranks
+    grams = np.zeros((data.n_modes, 3, 3))
+    for rows in _blocks(data.n_samples):
+        theta = data.thetas[rows].T
+        cos, sin = np.cos(theta), np.sin(theta)
+        design = np.stack([cos * cos, sin * sin, 2.0 * sin * cos], axis=1)
+        grams += design @ design.transpose(0, 2, 1)
+    eigenvalues = np.linalg.eigvalsh(grams)
+    return np.count_nonzero(eigenvalues > _RANK_RTOL * eigenvalues[:, -1:], axis=1).tolist()
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:

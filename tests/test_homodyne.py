@@ -264,6 +264,58 @@ class TestConfigValidation:
             VarianceTrace(np.arange(3.0), np.zeros((3, 1)), np.array([0.5, math.inf, 0.5]), np.ones(3, dtype=int))
 
 
+def conforming_dataset_inputs():
+    """Caller arrays a dataset can hold without conversion: an (n, 1) float64
+    column, and F-ordered (n, 2) float64 columns."""
+    return [
+        (np.zeros((5, 1)), np.ones((5, 1))),
+        (np.asfortranarray(np.zeros((5, 2))), np.asfortranarray(np.ones((5, 2)))),
+    ]
+
+
+class TestRecordInputs:
+    """Records share, never freeze, the caller's arrays, and read every mode
+    column array by one shape rule."""
+
+    @pytest.mark.parametrize("thetas, xs", conforming_dataset_inputs())
+    def test_dataset_views_leave_caller_writeable(self, thetas, xs):
+        data = QuadratureDataset(thetas, xs)
+        for given, held in ((thetas, data.thetas), (xs, data.xs)):
+            assert given.flags.writeable and not held.flags.writeable
+            assert np.shares_memory(given, held)
+
+    def test_trace_views_leave_caller_writeable(self):
+        columns = (np.arange(3.0), np.zeros((3, 1)), np.full(3, 0.5), np.full(3, 100, dtype=np.int64))
+        trace = VarianceTrace(*columns)
+        held = (trace.bin_center_index, trace.theta_centers, trace.variance, trace.count)
+        for given, kept in zip(columns, held):
+            assert given.flags.writeable and not kept.flags.writeable
+            assert np.shares_memory(given, kept)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_one_dimensional_columns_are_one_mode(self, tmp_path, n):
+        thetas, xs = np.linspace(0.0, 1.0, n), np.arange(n, dtype=float)
+        data = QuadratureDataset(thetas, xs)
+        assert (data.n_samples, data.n_modes) == (n, 1)
+        assert same_bits(data.thetas[:, 0], thetas) and same_bits(data.xs[:, 0], xs)
+        trace = VarianceTrace(np.arange(float(n)), thetas, np.full(n, 0.5), np.full(n, 10))
+        assert (trace.n_bins, trace.n_modes) == (n, 1)
+        trace.to_csv(tmp_path / "trace.csv")
+        assert same_bits(VarianceTrace.from_csv(tmp_path / "trace.csv").theta_centers, trace.theta_centers)
+
+    @pytest.mark.parametrize("shape", [(), (4, 1, 1), (2, 2, 2)])
+    def test_other_ranks_rejected(self, shape):
+        columns = np.zeros(shape)
+        with pytest.raises(ValueError, match=r"\(n_samples, n_modes\) array, got shape"):
+            QuadratureDataset(columns, columns)
+        with pytest.raises(ValueError, match=r"\(n_samples, n_modes\) array, got shape"):
+            VarianceTrace(np.arange(4.0), columns, np.full(4, 0.5), np.full(4, 10))
+
+    def test_trace_holds_one_or_two_theta_columns(self):
+        with pytest.raises(ValueError, match="traces hold 1 or 2 theta columns"):
+            VarianceTrace(np.arange(4.0), np.zeros((4, 3)), np.full(4, 0.5), np.full(4, 10))
+
+
 def per_value_dataset_csv(data: QuadratureDataset) -> bytes:
     """The dataset writer before block formatting: one f"{v:.17g}" per value."""
     cols = ["index"]

@@ -1,8 +1,10 @@
 """Synthetic homodyne sampling and binned variance traces.
 
 Sampling is deterministic: a PCG64 stream seeded from SweepConfig.seed feeds
-an inverse-CDF normal transform (exactly one uniform per normal draw, no
-rejection), so a given seed always reproduces the same dataset bytes.
+an inverse-CDF normal transform, `_ndtri`, a numpy port of Cephes ndtri
+(exactly one uniform per normal draw, no rejection), so a given seed always
+reproduces the same dataset bytes.  The transform's tail values take numpy's
+`log`, so their last bits follow numpy's build, not the C library's.
 
 Per-record arrays are mode-major: a dataset's `thetas` and `xs` keep their
 (n_samples, n_modes) shape, but each mode's column is contiguous (Fortran
@@ -13,7 +15,8 @@ theta centres are numpy's pairwise mean of each mode's windows.
 
 Sampling and binning walk the records in blocks through `_blocks`: `sample`
 fills its preallocated output `_BLOCK_ROWS` records at a time (drawing the
-uniforms block by block gives the stream of one draw), and `binned_variance`
+uniforms block by block gives the stream of one draw, and they are
+transformed `_BLOCK_ROWS` values at a time), and `binned_variance`
 forms values and variances over blocks of whole bins, `_BLOCK_ROWS` rounded
 down to a multiple of the window (one bin if the window is longer).  Every
 expression keeps its operation order, so the bytes are those of one
@@ -268,6 +271,10 @@ class VarianceTrace:
     count: np.ndarray
 
     def __post_init__(self):
+        for name in ("bin_center_index", "variance", "count"):
+            shape = np.shape(getattr(self, name))
+            if len(shape) != 1:
+                raise ValueError(f"trace column {name} must be 1-D, got shape {shape}")
         bci = _frozen(self.bin_center_index)
         tc = _mode_columns(self.theta_centers)
         var = _frozen(self.variance)
@@ -314,13 +321,101 @@ class VarianceTrace:
         )
 
 
-def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
-    from scipy.special import ndtri  # imported here: ~0.2 s that commands sampling nothing skip
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989): a rational function of (y - 1/2)**2 on the central
+# branch exp(-2) < y <= 1 - exp(-2), and of 1/x, x = sqrt(-2 ln y), on the
+# tails (P1/Q1 below x = 8, P2/Q2 from 8 up); the Q are monic, their
+# leading 1 left out
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
 
+
+def _rational(x: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
+    """x * P(x) / Q(x) for monic Q, each polynomial by Horner's rule from its
+    highest power, in Cephes' operation order (polevl, p1evl)."""
+    num = x * p[0]
+    for c in p[1:]:
+        num += c
+        num *= x
+    den = x + q[0]
+    for c in q[1:]:
+        den *= x
+        den += c
+    num /= den
+    return num
+
+
+def _ndtri(y: np.ndarray) -> np.ndarray:
+    """The standard normal quantile of each `y` in (0, 1): Cephes ndtri,
+    branch by branch and in its operation order.
+
+    The central branch gives the bits of the C code.  It is evaluated for
+    every value (Q0 has no root for (y - 1/2)**2 < 1/4) and the tails are
+    overwritten.  The tails take numpy's `log`, whose last bit can differ
+    from the C library's, so a tail value can differ from the C code's by a
+    few ULP.
+    """
+    c = y - 0.5
+    x = _rational(c * c, _P0, _Q0)
+    x *= c
+    x += c
+    x *= _SQRT_2PI
+    tails = np.flatnonzero((y <= _EXP_M2) | (y > 1.0 - _EXP_M2))
+    t = y.take(tails)
+    np.minimum(t, 1.0 - t, out=t)  # y on the lower tail, Cephes' 1 - y on the upper
+    np.log(t, out=t)
+    t *= -2.0
+    np.sqrt(t, out=t)
+    z = 1.0 / t
+    x0 = np.log(t)
+    x0 /= t
+    np.subtract(t, x0, out=x0)
+    x1 = _rational(z, _P1, _Q1)
+    far = t >= 8.0
+    if far.any():  # y < exp(-32): about one draw in 10**14, so gather only then
+        x1[far] = _rational(z[far], _P2, _Q2)
+    x0 -= x1
+    x.put(tails, np.copysign(x0, c.take(tails)))  # Cephes negates the lower tail
+    return x
+
+
+def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     u = rng.random(shape)
     # rng.random() can return exactly 0, where the inverse CDF diverges
     u[u == 0.0] = 0.5 ** 54
-    return ndtri(u, out=u)
+    flat = u.reshape(-1)
+    for rows in _blocks(flat.size):
+        flat[rows] = _ndtri(flat[rows])
+    return u
 
 
 def sample(state: GaussianState, config: SweepConfig) -> QuadratureDataset:

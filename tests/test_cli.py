@@ -886,33 +886,48 @@ class TestModuleEntry:
         assert read_json(out / "single_manifest.json")["subcommand"] == "single-sweep"
 
     def test_import_loads_no_scipy_solver(self, tmp_path):
-        # scipy.optimize and scipy.special cost most of the import time: the
-        # import loads neither, and no command needs scipy.optimize
+        # scipy is a test dependency only: sampling converts its uniforms by
+        # homodyne._ndtri, a numpy port of Cephes ndtri, and the fits,
+        # tomography and design arithmetic use numpy alone.  The import loads
+        # no scipy module, and every command runs with scipy blocked.
         src = str(Path(eprsim.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         env.pop("EPRSIM_OUTDIR", None)
 
-        def loaded(prefixes, *argv):
-            """The modules starting with `prefixes` loaded by a child process
-            that imports the CLI and runs it on `argv`, if any."""
-            code = "import sys, eprsim, eprsim.cli\n"
-            if argv:
-                code += f"assert eprsim.cli.main({list(argv)!r}) == 0\n"
-            code += f"print(*sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
+        def scipy_modules(*commands, block=False):
+            """The scipy modules loaded by a child that imports the CLI and
+            runs each of `commands`, asserting exit 0, with scipy importable
+            or, if `block`, not."""
+            code = "import sys\n"
+            if block:
+                code += "sys.modules['scipy'] = None\n"
+            code += "import eprsim, eprsim.cli\n"
+            for argv in commands:
+                code += f"assert eprsim.cli.main({argv!r}) == 0, {argv!r}\n"
+            code += "print(*sorted(m for m, module in sys.modules.items() if m.startswith('scipy') and module))"
             result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
             assert result.returncode == 0, result.stderr
             return result.stdout.splitlines()[-1].split()
 
-        assert loaded(("scipy.optimize", "scipy.special")) == []
-        out = str(tmp_path)
-        sweep = ["--samples", "20000", "--window", "1000", "--out", out]
-        assert loaded(("scipy.optimize",), "single-sweep", *sweep) == []
-        assert main(["epr-sweep", *sweep]) == 0
-        traces = [
-            "--trace-sum", str(tmp_path / "epr_sum_trace.csv"),
-            "--trace-diff", str(tmp_path / "epr_difference_trace.csv"),
+        assert scipy_modules() == []
+        sweep = ["--samples", "20000", "--window", "1000", "--write-dataset"]
+        single, epr = str(tmp_path / "single"), str(tmp_path / "epr")
+        commands = [
+            ["single-sweep", *sweep, "--out", single],
+            ["epr-sweep", *sweep, "--out", epr],
+            ["fit", "--kind", "single", "--trace", f"{single}/single_trace.csv", "--out", str(tmp_path / "refit1")],
+            [
+                "fit", "--kind", "epr", "--trace-sum", f"{epr}/epr_sum_trace.csv",
+                "--trace-diff", f"{epr}/epr_difference_trace.csv", "--out", str(tmp_path / "refit"),
+            ],
+            [
+                "tomography", "--input", f"{epr}/epr_data.csv", "--cutoff", "3",
+                "--ref-zeta", "0.44", "--ref-eta", "0.5", "--out", str(tmp_path / "tomo"),
+            ],
+            ["design", "walkoff", "--length", "1mm", "--preset", "ppktp", "--out", str(tmp_path / "design")],
         ]
-        assert loaded(("scipy.optimize",), "fit", "--kind", "epr", *traces, "--out", out) == []
+        assert scipy_modules(*commands, block=True) == []
+        assert read_json(tmp_path / "tomo" / "tomo_summary.json")["reference"] is not None
 
     def test_import_of_optics_loads_no_numpy(self):
         # the package root re-exports nothing, so the design arithmetic and

@@ -1,9 +1,9 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from eprsim.errors import DataFormatError
 from eprsim.gaussian import (
@@ -22,6 +22,7 @@ from eprsim.homodyne import (
     QuadratureDataset,
     SweepConfig,
     VarianceTrace,
+    _ndtri,
     _standard_normals,
     binned_variance,
     sample,
@@ -315,6 +316,15 @@ class TestRecordInputs:
         with pytest.raises(ValueError, match="traces hold 1 or 2 theta columns"):
             VarianceTrace(np.arange(4.0), np.zeros((4, 3)), np.full(4, 0.5), np.full(4, 10))
 
+    @pytest.mark.parametrize("column", [0, 2, 3])
+    @pytest.mark.parametrize("shape", [(), (3, 1), (1, 3)])
+    def test_trace_value_columns_are_one_dimensional(self, column, shape):
+        columns = [np.arange(3.0), np.zeros((3, 1)), np.full(3, 0.5), np.full(3, 10)]
+        columns[column] = np.ones(shape)
+        name = ("bin_center_index", None, "variance", "count")[column]
+        with pytest.raises(ValueError, match=rf"trace column {name} must be 1-D, got shape {re.escape(str(shape))}"):
+            VarianceTrace(*columns)
+
 
 def per_value_dataset_csv(data: QuadratureDataset) -> bytes:
     """The dataset writer before block formatting: one f"{v:.17g}" per value."""
@@ -510,7 +520,7 @@ def interleaved_sample(state, config: SweepConfig):
     s = np.sin(thetas)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     u = rng.random((config.n_samples, state.n_modes))
-    z = ndtri(np.where(u == 0.0, 0.5**54, u))
+    z = _ndtri(np.where(u == 0.0, 0.5**54, u))
     cov = state.cov
     s11 = c[:, 0] ** 2 * cov[0, 0] + 2 * c[:, 0] * s[:, 0] * cov[0, 1] + s[:, 0] ** 2 * cov[1, 1]
     l11 = np.sqrt(s11)
@@ -649,8 +659,45 @@ class TestModeMajorLayout:
         zero = u == 0.0
         assert zero.sum() == 4
         assert np.all(np.isfinite(z))
-        assert np.all(z[zero] == ndtri(0.5**54))
-        assert same_bits(z[~zero], ndtri(u[~zero]))
+        assert np.all(z[zero] == _ndtri(np.array([0.5**54])))
+        assert same_bits(z[~zero], _ndtri(u[~zero]))
+
+
+class TestNdtri:
+    """The numpy port of Cephes ndtri against scipy's: the central branch
+    exp(-2) < y <= 1 - exp(-2) bit for bit, the tails, whose `log` is
+    numpy's, within a few ULP."""
+
+    def test_seeded_draws(self):
+        from scipy.special import ndtri
+
+        y = np.random.Generator(np.random.PCG64(2024)).random(2**20)
+        got, expected = _ndtri(y), ndtri(y)
+        central = (y > math.exp(-2.0)) & (y <= 1.0 - math.exp(-2.0))
+        assert 0.7 < central.mean() < 0.75
+        assert same_bits(got[central], expected[central])
+        assert np.all(np.abs(got - expected) <= 8 * np.spacing(np.abs(expected)))
+
+    def test_far_tails(self):
+        # y < exp(-32), the second tail branch: x = sqrt(-2 ln y) >= 8
+        from scipy.special import ndtri
+
+        y = np.exp(-np.random.default_rng(5).uniform(32.0, 744.0, 100_000))
+        y = np.concatenate([y, 1.0 - y[y > 1e-15]])
+        got, expected = _ndtri(y), ndtri(y)
+        assert np.all(np.abs(got - expected) <= 8 * np.spacing(np.abs(expected)))
+
+    def test_edge_values_exact(self):
+        from scipy.special import ndtri
+
+        e2 = math.exp(-2.0)
+        y = np.array([
+            0.5**54, 0.5**53, 1.0 - 0.5**53,
+            math.nextafter(e2, 0.0), e2, math.nextafter(e2, 1.0),
+            math.nextafter(1.0 - e2, 0.0), 1.0 - e2, math.nextafter(1.0 - e2, 1.0),
+            0.5, 1e-300, 5e-324,
+        ])
+        assert same_bits(_ndtri(y), ndtri(y))
 
 
 B = _BLOCK_ROWS

@@ -894,22 +894,13 @@ class TestModuleEntry:
         env = {**os.environ, "PYTHONPATH": src}
         env.pop("EPRSIM_OUTDIR", None)
 
-        def scipy_modules(*commands, block=False):
-            """The scipy modules loaded by a child that imports the CLI and
-            runs each of `commands`, asserting exit 0, with scipy importable
-            or, if `block`, not."""
-            code = "import sys\n"
-            if block:
-                code += "sys.modules['scipy'] = None\n"
-            code += "import eprsim, eprsim.cli\n"
-            for argv in commands:
-                code += f"assert eprsim.cli.main({argv!r}) == 0, {argv!r}\n"
-            code += "print(*sorted(m for m, module in sys.modules.items() if m.startswith('scipy') and module))"
+        def run_child(code):
             result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
             assert result.returncode == 0, result.stderr
-            return result.stdout.splitlines()[-1].split()
+            return result.stdout
 
-        assert scipy_modules() == []
+        loaded = run_child("import sys, eprsim, eprsim.cli\nprint(*(m for m in sys.modules if m.startswith('scipy')))")
+        assert loaded.split() == []
         sweep = ["--samples", "20000", "--window", "1000", "--write-dataset"]
         single, epr = str(tmp_path / "single"), str(tmp_path / "epr")
         commands = [
@@ -926,7 +917,9 @@ class TestModuleEntry:
             ],
             ["design", "walkoff", "--length", "1mm", "--preset", "ppktp", "--out", str(tmp_path / "design")],
         ]
-        assert scipy_modules(*commands, block=True) == []
+        # with sys.modules["scipy"] = None, any scipy import raises ImportError
+        code = "import sys\nsys.modules['scipy'] = None\nimport eprsim.cli\n"
+        run_child(code + "".join(f"assert eprsim.cli.main({argv!r}) == 0, {argv!r}\n" for argv in commands))
         assert read_json(tmp_path / "tomo" / "tomo_summary.json")["reference"] is not None
 
     def test_import_of_optics_loads_no_numpy(self):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from eprsim.errors import DataFormatError
 from eprsim.gaussian import (
@@ -669,8 +670,6 @@ class TestNdtri:
     numpy's, within a few ULP."""
 
     def test_seeded_draws(self):
-        from scipy.special import ndtri
-
         y = np.random.Generator(np.random.PCG64(2024)).random(2**20)
         got, expected = _ndtri(y), ndtri(y)
         central = (y > math.exp(-2.0)) & (y <= 1.0 - math.exp(-2.0))
@@ -680,16 +679,12 @@ class TestNdtri:
 
     def test_far_tails(self):
         # y < exp(-32), the second tail branch: x = sqrt(-2 ln y) >= 8
-        from scipy.special import ndtri
-
         y = np.exp(-np.random.default_rng(5).uniform(32.0, 744.0, 100_000))
         y = np.concatenate([y, 1.0 - y[y > 1e-15]])
         got, expected = _ndtri(y), ndtri(y)
         assert np.all(np.abs(got - expected) <= 8 * np.spacing(np.abs(expected)))
 
     def test_edge_values_exact(self):
-        from scipy.special import ndtri
-
         e2 = math.exp(-2.0)
         y = np.array([
             0.5**54, 0.5**53, 1.0 - 0.5**53,

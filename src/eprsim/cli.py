@@ -358,6 +358,12 @@ def _add_common_output_options(parser, default_prefix: str) -> None:
     parser.add_argument("--prefix", default=default_prefix, help="output file prefix")
 
 
+def _add_signed_float(parser, flag: str, text: str, **kwargs) -> None:
+    """A finite float option whose help names the = form of a negative value:
+    argparse reads a spaced negative number in exponent form as an option."""
+    parser.add_argument(flag, type=_finite_float, help=f"{text}; a negative one as {flag}=-1e-3", **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eprsim",
@@ -371,10 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=_nonneg_float, default=0.44, help="squeezing parameter")
     p.add_argument("--eta", type=_unit_interval, default=0.52, help="detection transmissivity")
     p.add_argument("--samples", type=_positive_int, default=200_000, help="homodyne records to draw")
-    p.add_argument("--theta0", type=_finite_float, default=0.0, help="LO phase at sample 0 (rad)")
-    p.add_argument(
-        "--rate", type=_finite_float, default=None, help="LO phase rate (rad/sample); default spans 4 trace periods"
-    )
+    _add_signed_float(p, "--theta0", "LO phase at sample 0 (rad)", default=0.0)
+    _add_signed_float(p, "--rate", "LO phase rate (rad/sample); default spans 4 trace periods")
     p.add_argument("--window", type=_int_at_least_2, default=2000, help="samples per variance bin")
     p.add_argument("--seed", type=_nonneg_int, default=1, help="seed of the sampling stream")
     p.add_argument("--write-dataset", action="store_true", help="also write the raw samples CSV")
@@ -384,16 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("epr-sweep", help="sample the entangled pipeline output under a swept LO phase")
     p.add_argument("--zeta", type=_nonneg_float, default=0.44, help="squeezing parameter")
     p.add_argument("--eta", type=_unit_interval, default=0.50, help="detection transmissivity")
-    p.add_argument(
-        "--relative-phase", type=_finite_float, default=math.pi / 2, help="phase between the squeezed vacua (rad)"
-    )
+    _add_signed_float(p, "--relative-phase", "phase between the squeezed vacua (rad)", default=math.pi / 2)
     p.add_argument("--mismatch", type=_unit_interval, default=0.0, help="interference-imperfection admixture")
     p.add_argument("--samples", type=_positive_int, default=200_000, help="homodyne records to draw")
-    p.add_argument("--theta0", type=_finite_float, default=0.0, help="mode-1 LO phase at sample 0 (rad)")
-    p.add_argument("--theta2", type=_finite_float, default=0.0, help="fixed mode-2 LO phase (rad)")
-    p.add_argument(
-        "--rate", type=_finite_float, default=None, help="mode-1 LO phase rate (rad/sample); default spans 2 trace periods"
-    )
+    _add_signed_float(p, "--theta0", "mode-1 LO phase at sample 0 (rad)", default=0.0)
+    _add_signed_float(p, "--theta2", "fixed mode-2 LO phase (rad)", default=0.0)
+    _add_signed_float(p, "--rate", "mode-1 LO phase rate (rad/sample); default spans 2 trace periods")
     p.add_argument("--window", type=_int_at_least_2, default=2000, help="samples per variance bin")
     p.add_argument("--seed", type=_nonneg_int, default=1, help="seed of the sampling stream")
     p.add_argument("--write-dataset", action="store_true", help="also write the raw samples CSV")
@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--delay", type=_length, required=True, help="delay to compensate (e.g. 0.58mm; a negative one as --delay=-0.52mm)"
     )
-    p.add_argument("--dn-group", type=_finite_float, required=True, help="group-index difference of the compensator")
+    _add_signed_float(p, "--dn-group", "group-index difference of the compensator", required=True)
     for p in quantities.choices.values():
         _add_common_output_options(p, "design")
         p.set_defaults(handler=_cmd_design)

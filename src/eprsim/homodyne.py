@@ -14,14 +14,14 @@ contiguous memory.  Only the normals are drawn record by record,
 theta centres are numpy's pairwise mean of each mode's windows.
 
 Sampling and binning walk the records in blocks through `_blocks`: `sample`
-fills its preallocated output `_BLOCK_ROWS` records at a time (drawing the
-uniforms block by block gives the stream of one draw, and they are
-transformed `_BLOCK_ROWS` values at a time), and `binned_variance`
-forms values and variances over blocks of whole bins, `_BLOCK_ROWS` rounded
-down to a multiple of the window (one bin if the window is longer).  Every
-expression keeps its operation order, so the bytes are those of one
-whole-array pass, and peak memory is the output plus a few blocks of
-temporaries.
+fills its preallocated output `_BLOCK_ROWS // n_modes` records a step, one
+block of `_BLOCK_ROWS` normals drawn and transformed in one call each (the
+uniforms drawn block by block are the stream of one draw), and
+`binned_variance` forms values and variances over blocks of whole bins,
+`_BLOCK_ROWS` rounded down to a multiple of the window (one bin if the
+window is longer).  Every expression keeps its operation order, so the
+bytes are those of one whole-array pass, and peak memory is the output plus
+a few blocks of temporaries.
 
 CSV formats (ASCII, LF line endings, 17 significant digits):
 
@@ -95,11 +95,11 @@ class SweepConfig:
         return out.T
 
 
-# records per block: sampled, binned (rounded down to whole bins, at least
-# one), formatted per write, parsed per step, summed into the second-moment
-# Grams (tomography._second_moment_ranks), turned into MaxLik features
+# records per block: binned (rounded down to whole bins, at least one),
+# formatted per write, parsed per step, summed into the second-moment Grams
+# (tomography._second_moment_ranks), turned into MaxLik features
 # (tomography._mode_features) and run through each MaxLik pass
-# (tomography._ProjectorFeatures)
+# (tomography._ProjectorFeatures); sampling draws this many normals a step
 _BLOCK_ROWS = 16384
 
 
@@ -375,8 +375,8 @@ def _rational(x: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
 
 
 def _ndtri(y: np.ndarray) -> np.ndarray:
-    """The standard normal quantile of each `y` in (0, 1): Cephes ndtri,
-    branch by branch and in its operation order.
+    """The standard normal quantile of each `y` in (0, 1), an array of any
+    shape: Cephes ndtri, branch by branch and in its operation order.
 
     The central branch gives the bits of the C code.  It is evaluated for
     every value (Q0 has no root for (y - 1/2)**2 < 1/4) and the tails are
@@ -412,10 +412,7 @@ def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     u = rng.random(shape)
     # rng.random() can return exactly 0, where the inverse CDF diverges
     u[u == 0.0] = 0.5 ** 54
-    flat = u.reshape(-1)
-    for rows in _blocks(flat.size):
-        flat[rows] = _ndtri(flat[rows])
-    return u
+    return _ndtri(u)
 
 
 def sample(state: GaussianState, config: SweepConfig) -> QuadratureDataset:
@@ -423,9 +420,9 @@ def sample(state: GaussianState, config: SweepConfig) -> QuadratureDataset:
 
     For each record the vector (X_{1,theta1}[, X_{2,theta2}]) is drawn from
     the zero-mean Gaussian whose covariance is induced by the state and the
-    scheduled phases, via a closed-form Cholesky factor per record.  The
-    records are drawn `_BLOCK_ROWS` at a time, the normals record by record,
-    (z_1[, z_2]) each, and every other array is one contiguous column per
+    scheduled phases, via a closed-form Cholesky factor per record.  Each
+    step draws `_BLOCK_ROWS // n_modes` records, one block of normals,
+    (z_1[, z_2]) per record; every other array is one contiguous column per
     mode.  A held phase's cos/sin are taken once, from its first record.
     """
     if state.n_modes != config.n_modes:
@@ -443,7 +440,7 @@ def sample(state: GaussianState, config: SweepConfig) -> QuadratureDataset:
         phases = thetas[:1, m] if config.phases[m].rate == 0.0 else thetas[rows, m]
         return np.cos(phases), np.sin(phases)
 
-    for rows in _blocks(config.n_samples):
+    for rows in _blocks(config.n_samples, _BLOCK_ROWS // state.n_modes):
         z = _standard_normals(rng, (rows.stop - rows.start, state.n_modes))
         c1, s1 = cos_sin(0, rows)
         l11 = np.sqrt(c1**2 * cov[0, 0] + 2 * c1 * s1 * cov[0, 1] + s1**2 * cov[1, 1])

@@ -702,6 +702,30 @@ class TestCliPlumbing:
         assert f"argument {shown}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "path, required, flag, value",
+        [
+            (["single-sweep"], [], "--rate", "-6.3e-4"),
+            (["single-sweep"], [], "--theta0", "-1e-3"),
+            (["epr-sweep"], [], "--theta2", "-1e-3"),
+            (["epr-sweep"], [], "--relative-phase", "-1e-1"),
+            (["design", "compensation"], ["--delay", "0.58mm"], "--dn-group", "-1e-1"),
+        ],
+        ids=["single-rate", "single-theta0", "epr-theta2", "epr-relative-phase", "compensation-dn-group"],
+    )
+    def test_negative_exponent_needs_equals_form(self, tmp_path, capsys, path, required, flag, value):
+        # argparse reads a spaced "-1e-3" as an option, not as the value
+        assert main([*path, *required, flag, value, "--out", str(tmp_path)]) == 2
+        assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        parser = build_parser()
+        args = parser.parse_args([*path, *required, f"{flag}={value}"])
+        assert getattr(args, flag[2:].replace("-", "_")) == float(value)
+        for name in path:
+            parser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[name]
+        (action,) = [action for action in parser._actions if flag in action.option_strings]
+        assert f"{flag}=-" in action.help
+
     def test_unparsable_number_names_its_type(self, capsys):
         assert main(["tomography", "--input", "x.csv", "--stop-tol", "tight"]) == 2
         assert "argument --stop-tol: invalid float value: 'tight'" in capsys.readouterr().err

@@ -696,7 +696,8 @@ class TestNdtri:
 
 
 B = _BLOCK_ROWS
-BLOCK_SIZES = [1, B - 1, B, B + 1, 2 * B + 7]
+# a 2-mode sample takes B // 2 records a block, one block of normals
+BLOCK_SIZES = [1, B // 2 - 1, B // 2, B // 2 + 1, B - 1, B, B + 1, 2 * B + 7]
 
 
 def block_schedules(n):
